@@ -85,7 +85,8 @@ struct Point {
   std::string layer_formats_json;  // every layer's format name, as a JSON array
   double bits_per_weight;          // parameter-weighted mean storage bits
   const char* path;
-  const char* kernel;  // register-blocked kernel in play: "avx2", "scalar-blocked", or "-"
+  const char* kernel;  // blocked kernel in play: "avx2", "avx2-2limb", "scalar-blocked",
+                       // "mixed" or "-"
   std::size_t tile;    // samples per weight-plane pass (1 = per-sample path)
   std::size_t threads;
   double inferences_per_s;
@@ -225,11 +226,11 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
         if (!identical) return 1;
       }
     }
-    // Must-win gate: where the SIMD kernel dispatched and the batch spans at
-    // least one tile, the blocked path has no excuse to lose to the
-    // per-sample fused path single-threaded — a loss means the kernel layer
-    // regressed, so the bench (and CI) fails.
-    if (std::strcmp(fused->kernel_name(), "avx2") == 0 && rows >= fused->preferred_tile() &&
+    // Must-win gate: where a SIMD kernel ("avx2" or "avx2-2limb") dispatched
+    // and the batch spans at least one tile, the blocked path has no excuse
+    // to lose to the per-sample fused path single-threaded — a loss means the
+    // kernel layer regressed, so the bench (and CI) fails.
+    if (std::strncmp(fused->kernel_name(), "avx2", 4) == 0 && rows >= fused->preferred_tile() &&
         blocked_1t <= fused_1t) {
       std::fprintf(stderr,
                    "FAIL: %s blocked kernel (%s, tile %zu) did not beat the fused path "

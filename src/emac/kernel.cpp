@@ -1,5 +1,6 @@
 #include "emac/kernel.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -132,15 +133,23 @@ std::unique_ptr<MatmulKernel> make_scalar_kernel(const KernelSpec& spec) {
 
 }  // namespace
 
-std::uint32_t readout_kernel_lane_i64(const KernelSpec& spec, std::int64_t acc,
-                                      unsigned kinds) {
+std::uint32_t readout_kernel_lane(const KernelSpec& spec, std::int64_t acc, unsigned kinds) {
   return readout_acc(spec, AccKulisch64{acc}, kinds);
+}
+
+std::uint32_t readout_kernel_lane(const KernelSpec& spec, __int128 acc, unsigned kinds) {
+  return readout_acc(spec, AccKulisch128{acc}, kinds);
 }
 
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   out = KernelSpec(fmt);
   out.k = k;
   if (k == 0) return false;
+  // Per-term bounds for the two-limb split: |product| < 2^prod_bits and
+  // every product shift lies in [0, max_shift]. The bias image splits by
+  // the same rule and stays below the largest product term of its limb.
+  std::size_t prod_bits = 0;
+  std::size_t max_shift = 0;
   switch (fmt.kind()) {
     case num::Kind::kPosit: {
       const num::PositFormat& f = fmt.posit();
@@ -152,8 +161,9 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       out.frame = 2 * s + 2 * (p - 1);
       // |shifted product| < 2^(4S + 2P); bias image < 2^(3S + P); k + 1
       // terms need bit_width(k) + 1 headroom, +1 sign.
-      out.need_bits = 4 * static_cast<std::size_t>(s) + 2 * static_cast<std::size_t>(p) +
-                      static_cast<std::size_t>(std::bit_width(k)) + 2;
+      prod_bits = 2 * static_cast<std::size_t>(p);
+      max_shift = 4 * static_cast<std::size_t>(s);
+      out.need_bits = max_shift + prod_bits + static_cast<std::size_t>(std::bit_width(k)) + 2;
       break;
     }
     case num::Kind::kFloat: {
@@ -161,9 +171,14 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       out.sf_bias = -2;
       out.zero_sf = 1;  // zero patterns decode with effective exponent 1
       out.frame = 2 * f.bias() + 2 * f.wf - 2;
-      out.need_bits = 2 * static_cast<std::size_t>(f.expmax()) +
-                      2 * static_cast<std::size_t>(f.wf) + 2 +
-                      static_cast<std::size_t>(std::bit_width(k)) + 1;
+      // |ssig| < 2^(wf+1). decode_operand reads every exponent field as a
+      // finite one, the all-ones Inf/NaN field included, so biased exponents
+      // lie in [1, expmax + 1]. The bias shift exp + bias + wf - 2 can pass
+      // max_shift, but its significand has only wf+1 bits, so its image in
+      // either limb stays below that limb's largest product term.
+      prod_bits = 2 * static_cast<std::size_t>(f.wf) + 2;
+      max_shift = 2 * static_cast<std::size_t>(f.expmax());
+      out.need_bits = max_shift + prod_bits + static_cast<std::size_t>(std::bit_width(k)) + 1;
       break;
     }
     case num::Kind::kFixed: {
@@ -171,9 +186,10 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       out.sf_bias = 0;
       out.zero_sf = 0;
       out.fixed_q = f.q;
-      // |product| < 2^(2n-2); the bias image raw << q is no larger.
-      out.need_bits = 2 * static_cast<std::size_t>(f.n - 1) +
-                      static_cast<std::size_t>(std::bit_width(k)) + 2;
+      // |product| < 2^(2n-2); the bias image raw << q is no larger. Every
+      // product shift is 0, so the split never helps: one limb or none.
+      prod_bits = 2 * static_cast<std::size_t>(f.n - 1);
+      out.need_bits = prod_bits + static_cast<std::size_t>(std::bit_width(k)) + 2;
       // The fixed readout extracts the raw register; cap at the 128-bit
       // policy (the wide register has no cheap extraction and no real
       // format gets anywhere near 125 bits).
@@ -183,6 +199,21 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   }
   if (out.need_bits > 250) return false;  // same ceiling as the fused units
   out.acc_kind = select_acc_kind(out.need_bits);
+  if (out.acc_kind == AccKind::kI64) {
+    out.limbs = 1;
+  } else {
+    // Two limbs split at T: each of the <= k+1 hi-limb terms is below
+    // 2^(prod_bits + max_shift - T), each term with shift < T below
+    // 2^(prod_bits + T - 1). Both sums keep the bit_width(k) + 2 headroom of
+    // the one-limb 62-bit bound (kernel.hpp).
+    const std::size_t split = max_shift / 2;
+    const std::size_t limb_bits = prod_bits + std::max(split, max_shift - split) +
+                                  static_cast<std::size_t>(std::bit_width(k)) + 2;
+    if (limb_bits <= 62) {
+      out.limbs = 2;
+      out.limb_split = static_cast<int>(split);
+    }
+  }
   return true;
 }
 
@@ -205,8 +236,7 @@ std::unique_ptr<MatmulKernel> MatmulKernel::create(const num::Format& fmt, std::
   KernelSpec spec(fmt);
   if (!make_kernel_spec(fmt, k, spec)) return nullptr;
 #if defined(DP_HAVE_AVX2_KERNEL)
-  if (spec.acc_kind == AccKind::kI64 && !scalar_kernel_forced() &&
-      __builtin_cpu_supports("avx2")) {
+  if (spec.limbs != 0 && !scalar_kernel_forced() && __builtin_cpu_supports("avx2")) {
     return make_avx2_kernel(spec);
   }
 #endif

@@ -22,10 +22,22 @@
 // kernel output is bit-identical to both Emac::dot() and the legacy step()
 // recurrence for every input (tests/emac/kernel_differential_test.cpp).
 //
-// Two implementations sit behind MatmulKernel::create():
-//  * avx2 — 4 int64 lanes per ymm register, 4 registers = a 16-sample tile;
-//    only eligible when the bound selects the int64 accumulator (AccKind::
-//    kI64 — the whole paper grid n 5-8 qualifies) and the CPU reports AVX2.
+// Three kernels sit behind MatmulKernel::create(), the first two one AVX2
+// class templated on its limb count:
+//  * avx2 / avx2-2limb — 4 int64 lanes per ymm register, 4 registers = a
+//    16-sample tile, only when the CPU reports AVX2. "avx2" keeps one int64
+//    limb per lane and needs need_bits <= 62 (AccKind::kI64). "avx2-2limb"
+//    covers bounds past 62 bits (posit<8,1> at k=128 needs 68) by splitting
+//    every lane into two int64 limbs at a shift threshold T:
+//      hi += prod << (shift - T)   for shift >= T   (exact, no wrap)
+//      lo += prod << shift         for every shift  (mod 2^64)
+//    make_kernel_spec proves both per-limb partial sums stay below 2^61:
+//    the hi limb's terms are products shifted by at most max_shift - T, and
+//    the terms with shift < T are products shifted by at most T - 1. So
+//    H = hi * 2^T is the exact sum of the shift >= T terms, lo - H mod 2^64
+//    is the exact sum of the rest (it fits int64), and H + that difference
+//    rebuilds the exact register, which the AccKulisch128 readout rounds
+//    (join_kernel_limbs). The same integer, hence the same pattern.
 //  * scalar-blocked — portable fallback, 8-sample tile, same layout, the
 //    accumulators are plain accum.hpp policy values (all three widths).
 // DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") forces the
@@ -71,6 +83,13 @@ struct KernelSpec {
   /// eq. (3)/(4) width (tests/emac/kernel_bound_test.cpp).
   std::size_t need_bits = 0;
   AccKind acc_kind = AccKind::kI64;
+  /// int64 limbs per lane for the SIMD kernel: 1 when need_bits <= 62, 2
+  /// when the split at limb_split keeps both limbs within 62 bits (see the
+  /// header comment), 0 when neither holds (scalar kernel only).
+  int limbs = 0;
+  /// The two-limb shift threshold T: products with shift >= T also
+  /// accumulate into the hi limb as prod << (shift - T). 0 unless limbs == 2.
+  int limb_split = 0;
 };
 
 /// A weight plane re-packed for the blocked kernels: per-element signed
@@ -108,10 +127,10 @@ class MatmulKernel {
 
   /// Dispatched factory: the fastest eligible kernel for this (format, k) on
   /// this CPU — AVX2 when compiled in, supported at runtime, not forced off
-  /// via DP_FORCE_SCALAR_KERNEL, and the bound fits int64; the portable
-  /// scalar-blocked kernel otherwise. Returns nullptr when no kernel
-  /// supports the combination (bound beyond 250 bits, zero k): callers fall
-  /// back to the per-sample dot() path.
+  /// via DP_FORCE_SCALAR_KERNEL, and the bound fits one or two int64 limbs
+  /// (KernelSpec::limbs); the portable scalar-blocked kernel otherwise.
+  /// Returns nullptr when no kernel supports the combination (bound beyond
+  /// 250 bits, zero k): callers fall back to the per-sample dot() path.
   static std::unique_ptr<MatmulKernel> create(const num::Format& fmt, std::size_t k);
 
   /// The portable scalar-blocked kernel, unconditionally — the differential
@@ -122,7 +141,8 @@ class MatmulKernel {
   const KernelSpec& spec() const { return spec_; }
   /// Preferred samples per pass; the ideal flush multiple for batchers.
   std::size_t tile() const { return tile_; }
-  /// "avx2" or "scalar-blocked" — lands in BENCH_throughput.json.
+  /// "avx2", "avx2-2limb" or "scalar-blocked" — lands in
+  /// BENCH_throughput.json.
   const char* name() const { return name_; }
 
   /// Re-pack a decoded weight plane (row-major rows x k, as produced by
@@ -158,14 +178,24 @@ class MatmulKernel {
 /// exceeds the 250-bit policy ceiling). Exposed for the bound tests.
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out);
 
-/// Final exact reduction of one finished int64 lane (the AVX2 spill path):
-/// identical to the scalar kernel's AccKulisch64 readout.
-std::uint32_t readout_kernel_lane_i64(const KernelSpec& spec, std::int64_t acc,
-                                      unsigned kinds);
+/// Final exact reduction of one finished lane (the AVX2 spill path):
+/// identical to the scalar kernel's AccKulisch64 / AccKulisch128 readout.
+std::uint32_t readout_kernel_lane(const KernelSpec& spec, std::int64_t acc, unsigned kinds);
+std::uint32_t readout_kernel_lane(const KernelSpec& spec, __int128 acc, unsigned kinds);
+
+/// The exact register of a two-limb lane split at `split`: hi * 2^split is
+/// the exact sum of the shift >= split terms, and lo minus that, mod 2^64,
+/// the exact sum of the rest (inside int64 by the split bound).
+inline __int128 join_kernel_limbs(std::int64_t hi, std::int64_t lo, int split) {
+  const auto high = static_cast<__int128>(static_cast<unsigned __int128>(hi) << split);
+  const auto rest = static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) -
+                                              static_cast<std::uint64_t>(high));
+  return high + rest;
+}
 
 #if defined(DP_HAVE_AVX2_KERNEL)
 /// Internal: the AVX2 kernel (kernel_avx2.cpp, compiled with -mavx2).
-/// Requires spec.acc_kind == AccKind::kI64; call through create().
+/// Requires spec.limbs of 1 or 2; call through create().
 std::unique_ptr<MatmulKernel> make_avx2_kernel(const KernelSpec& spec);
 #endif
 

@@ -118,6 +118,14 @@ std::uint32_t convert(std::uint32_t bits, const Format& from, const Format& to) 
   return to.from_double(v);
 }
 
+std::vector<std::uint32_t> convert_table(const Format& from, const Format& to) {
+  std::vector<std::uint32_t> table(std::size_t{1} << from.total_bits());
+  for (std::size_t b = 0; b < table.size(); ++b) {
+    table[b] = convert(static_cast<std::uint32_t>(b), from, to);
+  }
+  return table;
+}
+
 std::vector<Format> paper_format_grid(int n) {
   std::vector<Format> out;
   for (int es = 0; es <= 3 && es <= n - 4; ++es) {

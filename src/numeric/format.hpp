@@ -57,6 +57,11 @@ class Format {
 /// ReLU clears to zero rather than a silent 0.
 std::uint32_t convert(std::uint32_t bits, const Format& from, const Format& to);
 
+/// convert() tabulated over every `from` pattern: entry b is convert(b, from,
+/// to), 2^from.total_bits() entries. Index it with the pattern masked to
+/// from's width (size() - 1 is that mask).
+std::vector<std::uint32_t> convert_table(const Format& from, const Format& to);
+
 /// The format grid evaluated by the paper for a given total width n:
 /// posit es in {0..3} (es < n-3 so at least 1 fraction bit), float we in
 /// {2..5} (wf >= 1), fixed q in {1..n-2}.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "emac/decode_lut.hpp"
 #include "nn/io.hpp"
 
 namespace dp::runtime {
@@ -46,6 +47,13 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
   // Fails fast on unsupported format/fan-in combinations and provides the
   // units that decode the weight planes below.
   Scratch probe(net_);
+  convert_tables_.resize(net_.layers.size());
+  for (std::size_t li = 1; li < net_.layers.size(); ++li) {
+    const num::Format& prev = net_.layer_format(li - 1);
+    if (!(prev == net_.layer_format(li)) && prev.total_bits() <= emac::kMaxLutBits) {
+      convert_tables_[li] = num::convert_table(prev, net_.layer_format(li));
+    }
+  }
   if (path_ == ForwardPath::kFused) {
     weight_planes_.resize(net_.layers.size());
     for (std::size_t li = 0; li < net_.layers.size(); ++li) {
@@ -58,9 +66,9 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
     // never mixes kernel and per-sample layers. Dispatch (AVX2 vs portable,
     // DP_FORCE_SCALAR_KERNEL) — and with it the accumulator width — is
     // resolved here PER LAYER, against each layer's own format: in a mixed
-    // model one layer may take the AVX2 int64 kernel while a wider-quire
-    // neighbour takes the scalar-blocked one (kernel_name() then reports
-    // "mixed").
+    // model one layer may take the one-limb AVX2 kernel while a wider-quire
+    // neighbour takes the two-limb or the scalar-blocked one (kernel_name()
+    // then reports "mixed").
     kernels_.reserve(net_.layers.size());
     bool blocked = true;
     for (std::size_t li = 0; li < net_.layers.size() && blocked; ++li) {
@@ -126,6 +134,12 @@ std::uint32_t Model::relu(std::uint32_t bits, const num::Format& fmt) {
   throw std::logic_error("runtime::Model::relu: bad kind");
 }
 
+std::uint32_t Model::to_layer_format(std::size_t li, std::uint32_t bits) const {
+  const std::vector<std::uint32_t>& table = convert_tables_[li];
+  if (!table.empty()) return table[bits & (table.size() - 1)];
+  return num::convert(bits, net_.layer_format(li - 1), net_.layer_format(li));
+}
+
 void Model::forward_into(std::span<const double> x, Scratch& scratch) const {
   if (x.size() != net_.input_dim()) {
     throw std::invalid_argument("runtime::Model::forward_into: bad input size");
@@ -143,7 +157,7 @@ void Model::forward_into(std::span<const double> x, Scratch& scratch) const {
     // mixed boundary re-encode them into this layer's before they feed the
     // layer's EMACs.
     if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
-      for (std::uint32_t& a : act) a = num::convert(a, net_.layer_format(li - 1), fmt);
+      for (std::uint32_t& a : act) a = to_layer_format(li, a);
     }
     emac::Emac& unit = *scratch.emacs_[li];
     next.assign(layer.fan_out, 0);
@@ -247,10 +261,9 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
     // Mixed boundary: re-encode the live lanes only — pad lanes are zero and
     // never read (pack_acts and the output copy stop at s < nrows).
     if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
-      const num::Format& prev = net_.layer_format(li - 1);
       for (std::size_t i = 0; i < layer.fan_in; ++i) {
         for (std::size_t s = 0; s < nrows; ++s) {
-          bits[i * tile + s] = num::convert(bits[i * tile + s], prev, fmt);
+          bits[i * tile + s] = to_layer_format(li, bits[i * tile + s]);
         }
       }
     }

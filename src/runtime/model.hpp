@@ -135,8 +135,8 @@ class Model {
   /// front-ends align micro-batch flushes to a multiple of this.
   std::size_t preferred_tile() const { return tile_; }
 
-  /// Dispatched kernel: "avx2", "scalar-blocked", "mixed" (per-layer
-  /// dispatch differs) or "none" (no blocked path).
+  /// Dispatched kernel: "avx2", "avx2-2limb", "scalar-blocked", "mixed"
+  /// (per-layer dispatch differs) or "none" (no blocked path).
   const char* kernel_name() const;
 
   /// Per-thread mutable state for forward_tile_into: the lane-interleaved
@@ -160,9 +160,16 @@ class Model {
 
  private:
   static std::uint32_t relu(std::uint32_t bits, const num::Format& fmt);
+  /// Re-encode an activation of layer li - 1 into layer li's format (a
+  /// mixed boundary): a table lookup where one was built, else num::convert.
+  std::uint32_t to_layer_format(std::size_t li, std::uint32_t bits) const;
 
   nn::QuantizedNetwork net_;
   ForwardPath path_;
+  // Per layer li: num::convert_table(layer_format(li - 1), layer_format(li))
+  // where the two formats differ and the upstream one is at most
+  // emac::kMaxLutBits wide; empty otherwise. Both forward paths read it.
+  std::vector<std::vector<std::uint32_t>> convert_tables_;
   // Pre-decoded weight planes, one per layer, row-major like the raw
   // patterns: the static weight memories are decoded exactly once at
   // construction and shared read-only by every Scratch on every thread.

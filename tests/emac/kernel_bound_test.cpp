@@ -8,17 +8,22 @@
 // NaR/zero interleaves), tracking the exact partial sums in __int128
 // alongside, and check the bound computation itself: static_asserts on the
 // select_acc_kind register boundaries and the relation to the paper's
-// eq. (4) quire width.
+// eq. (4) quire width. The two-limb split gets the same treatment per limb:
+// a worst-case check at every bit_width(k) step, and adversarial walks
+// mirrored limb by limb in scalar code beside the exact sum.
 
 #include "emac/kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "emac/accum.hpp"
@@ -83,6 +88,18 @@ Extremes find_extremes(const num::Format& fmt) {
     }
   }
   return e;
+}
+
+std::uint32_t zero_pattern(const num::Format& fmt) {
+  switch (fmt.kind()) {
+    case num::Kind::kPosit:
+      return fmt.posit().zero_pattern();
+    case num::Kind::kFloat:
+      return num::float_zero(fmt.flt());
+    case num::Kind::kFixed:
+      return num::fixed_from_raw(0, fmt.fixed());
+  }
+  return 0;
 }
 
 /// |product image| of one (weight, activation) pair in the accumulator
@@ -281,67 +298,351 @@ TEST(KernelBound, NaRAndZeroInterleavesPropagateExactly) {
   // Zero operands must contribute exactly nothing in any position; a single
   // posit NaR anywhere in a row (or a NaR bias) must force the NaR readout
   // in every sample lane regardless of the surrounding magnitudes.
-  const std::size_t k = 12;
-  for (int n = 5; n <= 8; ++n) {
-    for (const num::Format& fmt : num::paper_format_grid(n)) {
-      const Extremes e = find_extremes(fmt);
-      const std::uint32_t zero = fmt.kind() == num::Kind::kPosit
-                                     ? fmt.posit().zero_pattern()
-                                     : (fmt.kind() == num::Kind::kFloat
-                                            ? num::float_zero(fmt.flt())
-                                            : num::fixed_from_raw(0, fmt.fixed()));
+  // k = 128 puts the two-limb formats (posit<8,1>, <7,2>, <6,2>, the
+  // we=5 floats) on the split with max-shift terms around the zeros.
+  for (const std::size_t k : {std::size_t{12}, std::size_t{128}}) {
+    for (int n = 5; n <= 8; ++n) {
+      for (const num::Format& fmt : num::paper_format_grid(n)) {
+        const Extremes e = find_extremes(fmt);
+        const std::uint32_t zero = zero_pattern(fmt);
 
-      std::vector<std::uint32_t> weights;
-      std::vector<std::uint32_t> bias;
-      // Row 0: zeros interleaved with max magnitudes. Row 1: adds NaR for
-      // posits (the other families have no NaR pattern).
-      for (std::size_t i = 0; i < k; ++i) weights.push_back(i % 2 == 0 ? zero : e.max_mag);
-      bias.push_back(e.max_mag);
-      if (fmt.kind() == num::Kind::kPosit) {
-        const std::uint32_t nar = fmt.posit().nar_pattern();
-        for (std::size_t i = 0; i < k; ++i) {
-          weights.push_back(i % 3 == 0 ? nar : (i % 3 == 1 ? zero : e.max_mag));
+        std::vector<std::uint32_t> weights;
+        std::vector<std::uint32_t> bias;
+        // Row 0: zeros interleaved with max magnitudes. Row 1: adds NaR for
+        // posits (the other families have no NaR pattern).
+        for (std::size_t i = 0; i < k; ++i) weights.push_back(i % 2 == 0 ? zero : e.max_mag);
+        bias.push_back(e.max_mag);
+        if (fmt.kind() == num::Kind::kPosit) {
+          const std::uint32_t nar = fmt.posit().nar_pattern();
+          for (std::size_t i = 0; i < k; ++i) {
+            weights.push_back(i % 3 == 0 ? nar : (i % 3 == 1 ? zero : e.max_mag));
+          }
+          bias.push_back(zero);
+          // Row 2: finite weights but a NaR bias.
+          for (std::size_t i = 0; i < k; ++i) weights.push_back(e.max_mag);
+          bias.push_back(nar);
         }
-        bias.push_back(zero);
-        // Row 2: finite weights but a NaR bias.
-        for (std::size_t i = 0; i < k; ++i) weights.push_back(e.max_mag);
-        bias.push_back(nar);
-      }
 
-      std::vector<std::uint32_t> acts;
-      for (std::size_t s = 0; s < 4; ++s) {
-        for (std::size_t i = 0; i < k; ++i) {
-          acts.push_back(i % 2 == s % 2 ? zero : e.max_mag);
+        std::vector<std::uint32_t> acts;
+        for (std::size_t s = 0; s < 4; ++s) {
+          for (std::size_t i = 0; i < k; ++i) {
+            acts.push_back(i % 2 == s % 2 ? zero : e.max_mag);
+          }
         }
-      }
-      expect_kernels_match_step(fmt, k, weights, bias, acts, 4);
+        expect_kernels_match_step(fmt, k, weights, bias, acts, 4);
 
-      if (fmt.kind() == num::Kind::kPosit) {
-        // Spot-check the propagation rule itself, not just oracle agreement:
-        // rows 1 and 2 must read out NaR for every sample.
-        const auto kern = MatmulKernel::create_scalar(fmt, k);
-        ASSERT_NE(kern, nullptr);
-        std::unique_ptr<Emac> unit = make_emac(fmt, k);
-        std::vector<DecodedOp> wdec(weights.size());
-        unit->decode_plane(weights.data(), weights.size(), wdec.data());
-        const PackedPlane plane = kern->pack_plane(wdec.data(), bias.size(), bias.data());
-        const std::size_t tile = kern->tile();
-        std::vector<std::uint32_t> interleaved(k * tile, 0);
-        for (std::size_t i = 0; i < k; ++i) {
-          for (std::size_t s = 0; s < 4; ++s) interleaved[i * tile + s] = acts[s * k + i];
-        }
-        ActTile at;
-        kern->pack_acts(interleaved.data(), k, 4, tile, at);
-        std::vector<std::uint32_t> out(bias.size() * tile, 0);
-        kern->matmul(plane, at, 4, out.data());
-        for (std::size_t r = 1; r < bias.size(); ++r) {
-          for (std::size_t s = 0; s < 4; ++s) {
-            EXPECT_EQ(out[r * tile + s], fmt.posit().nar_pattern())
-                << fmt.name() << " row " << r << " sample " << s;
+        if (fmt.kind() == num::Kind::kPosit) {
+          // Spot-check the propagation rule itself, not just oracle agreement:
+          // rows 1 and 2 must read out NaR for every sample.
+          const auto kern = MatmulKernel::create_scalar(fmt, k);
+          ASSERT_NE(kern, nullptr);
+          std::unique_ptr<Emac> unit = make_emac(fmt, k);
+          std::vector<DecodedOp> wdec(weights.size());
+          unit->decode_plane(weights.data(), weights.size(), wdec.data());
+          const PackedPlane plane = kern->pack_plane(wdec.data(), bias.size(), bias.data());
+          const std::size_t tile = kern->tile();
+          std::vector<std::uint32_t> interleaved(k * tile, 0);
+          for (std::size_t i = 0; i < k; ++i) {
+            for (std::size_t s = 0; s < 4; ++s) interleaved[i * tile + s] = acts[s * k + i];
+          }
+          ActTile at;
+          kern->pack_acts(interleaved.data(), k, 4, tile, at);
+          std::vector<std::uint32_t> out(bias.size() * tile, 0);
+          kern->matmul(plane, at, 4, out.data());
+          for (std::size_t r = 1; r < bias.size(); ++r) {
+            for (std::size_t s = 0; s < 4; ++s) {
+              EXPECT_EQ(out[r * tile + s], fmt.posit().nar_pattern())
+                  << fmt.name() << " row " << r << " sample " << s;
+            }
           }
         }
       }
     }
+  }
+}
+
+// --- The two-limb split ------------------------------------------------------
+// Formats whose bound passes 62 bits but splits at KernelSpec::limb_split
+// into two int64 limbs (kernel.hpp): the hi limb sums prod << (shift - T)
+// over the shift >= T terms, the lo limb every prod << shift mod 2^64, and
+// join_kernel_limbs rebuilds the exact register.
+
+/// Every finite pattern's kernel operand, enumerated once per format.
+std::vector<DecodedOp> finite_operands(const num::Format& fmt) {
+  std::vector<DecodedOp> ops;
+  const std::uint32_t mask = (1u << fmt.total_bits()) - 1u;
+  for (std::uint32_t bits = 0; bits <= mask; ++bits) {
+    const DecodedOp d = decode_operand(bits, fmt);
+    if (d.kind == DecodedOp::kFinite) ops.push_back(d);
+  }
+  return ops;
+}
+
+/// Largest |term| each limb can receive from one (weight, activation)
+/// product: hi = |prod| << (shift - T) over shift >= T, lo = |prod| << shift
+/// over shift < T.
+struct LimbTermMax {
+  u128 hi = 0;
+  u128 lo = 0;
+};
+
+LimbTermMax product_term_max(const KernelSpec& spec, const std::vector<DecodedOp>& ops) {
+  LimbTermMax m;
+  for (const DecodedOp& w : ops) {
+    for (const DecodedOp& a : ops) {
+      const u128 prod = abs_i128(static_cast<i128>(w.ssig) * a.ssig);
+      const int shift = w.sf + a.sf + spec.sf_bias;
+      if (shift >= spec.limb_split) {
+        m.hi = std::max(m.hi, prod << (shift - spec.limb_split));
+      } else {
+        m.lo = std::max(m.lo, prod << shift);
+      }
+    }
+  }
+  return m;
+}
+
+/// The same per-limb maxima over every bias pattern's pre-resolved image
+/// (pack_plane), split at `split`.
+LimbTermMax bias_term_max(const num::Format& fmt, int split) {
+  const auto kern = MatmulKernel::create_scalar(fmt, 1);
+  EXPECT_NE(kern, nullptr) << fmt.name();
+  if (kern == nullptr) return {};
+  const std::uint32_t mask = (1u << fmt.total_bits()) - 1u;
+  std::vector<std::uint32_t> biases(std::size_t{mask} + 1);
+  for (std::uint32_t b = 0; b <= mask; ++b) biases[b] = b;
+  std::vector<DecodedOp> wdec(biases.size());  // zeros; only the biases matter
+  const PackedPlane p = kern->pack_plane(wdec.data(), biases.size(), biases.data());
+  LimbTermMax m;
+  for (std::size_t r = 0; r < biases.size(); ++r) {
+    if (p.bias_nar[r] != 0) continue;
+    const u128 mag = abs_i128(p.bias_ssig[r]);
+    if (p.bias_shift[r] >= split) {
+      m.hi = std::max(m.hi, mag << (p.bias_shift[r] - split));
+    } else {
+      m.lo = std::max(m.lo, mag << p.bias_shift[r]);
+    }
+  }
+  return m;
+}
+
+TEST(KernelBound, TwoLimbSplitCoversTheBenchmarkFormats) {
+  const auto limbs = [](const num::Format& fmt, std::size_t k) {
+    KernelSpec spec(fmt);
+    EXPECT_TRUE(make_kernel_spec(fmt, k, spec)) << fmt.name() << " k=" << k;
+    return spec.limbs;
+  };
+  EXPECT_EQ(limbs(num::PositFormat{8, 0}, 128), 1);
+  EXPECT_EQ(limbs(num::PositFormat{8, 1}, 128), 2);
+  EXPECT_EQ(limbs(num::PositFormat{7, 2}, 128), 2);
+  EXPECT_EQ(limbs(num::PositFormat{6, 2}, 128), 2);
+  EXPECT_EQ(limbs(num::PositFormat{8, 2}, 5), 2);
+  EXPECT_EQ(limbs(num::PositFormat{8, 2}, 128), 0);
+  EXPECT_EQ(limbs(num::PositFormat{8, 3}, 5), 0);
+}
+
+TEST(KernelBound, EachLimbWorstCaseFitsAtEveryBitWidthBoundary) {
+  // For every two-limb (format, k) with k on either side of a bit_width
+  // step, the worst case of each limb — k max-magnitude product terms plus
+  // the largest bias term, all one sign — stays below 2^61, the same margin
+  // as a one-limb 62-bit bound. For the lo limb that is the exact sum of
+  // the shift < T terms, which the readout recovers from lo mod 2^64.
+  const u128 limit = static_cast<u128>(1) << 61;
+  int checked = 0;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      const std::vector<DecodedOp> ops = finite_operands(fmt);
+      for (int j = 1; j <= 30; ++j) {
+        for (const std::size_t k : {(std::size_t{1} << j) - 1, std::size_t{1} << j}) {
+          KernelSpec spec(fmt);
+          ASSERT_TRUE(make_kernel_spec(fmt, k, spec)) << fmt.name() << " k=" << k;
+          EXPECT_EQ(spec.limbs == 1, spec.acc_kind == AccKind::kI64) << fmt.name();
+          if (spec.limbs != 2) continue;
+          ASSERT_GE(spec.limb_split, 0);
+          const LimbTermMax prod = product_term_max(spec, ops);
+          const LimbTermMax bias = bias_term_max(fmt, spec.limb_split);
+          EXPECT_LT(static_cast<u128>(k) * prod.hi + bias.hi, limit)
+              << fmt.name() << " k=" << k << " hi limb";
+          EXPECT_LT(static_cast<u128>(k) * prod.lo + bias.lo, limit)
+              << fmt.name() << " k=" << k << " lo limb";
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+/// One (weight, activation) pair of the kernel frame: its finite patterns
+/// and their signed product and shift.
+struct Term {
+  std::uint32_t w = 0;
+  std::uint32_t a = 0;
+  i128 prod = 0;
+  int shift = 0;
+};
+
+/// The finite pair of largest |product| whose shift is exactly `shift`, with
+/// the product's sign as asked; false when no pair has that shift.
+bool max_term_at(const KernelSpec& spec, const std::vector<DecodedOp>& ops, int shift,
+                 bool negative, Term& out) {
+  bool found = false;
+  for (const DecodedOp& w : ops) {
+    for (const DecodedOp& a : ops) {
+      if (w.sf + a.sf + spec.sf_bias != shift) continue;
+      const i128 prod = static_cast<i128>(w.ssig) * a.ssig;
+      if ((prod < 0) != negative) continue;
+      if (!found || abs_i128(prod) > abs_i128(out.prod)) {
+        out = {w.bits, a.bits, prod, shift};
+        found = true;
+      }
+    }
+  }
+  return found;
+}
+
+/// Scalar mirror of one two-limb lane beside the exact sum. After every
+/// term it checks both limb bounds and that join_kernel_limbs rebuilds the
+/// exact register. `lo_left_int64` records whether the exact sum ever left
+/// int64, i.e. whether the lo limb alone could not have held it.
+struct LimbMirror {
+  int split = 0;
+  i128 hi = 0;
+  std::uint64_t lo = 0;
+  i128 low = 0;  // exact sum of the shift < split terms
+  i128 exact = 0;
+  bool lo_left_int64 = false;
+
+  void add(i128 prod, int shift) {
+    exact += prod << shift;
+    if (shift < 64) lo += static_cast<std::uint64_t>(prod) << shift;
+    if (shift >= split) {
+      hi += prod << (shift - split);
+    } else {
+      low += prod << shift;
+    }
+    const i128 limit = static_cast<i128>(1) << 61;
+    ASSERT_LT(abs_i128(hi), static_cast<u128>(limit)) << "hi limb";
+    ASSERT_LT(abs_i128(low), static_cast<u128>(limit)) << "lo limb";
+    ASSERT_TRUE(join_kernel_limbs(static_cast<std::int64_t>(hi),
+                                  static_cast<std::int64_t>(lo), split) == exact);
+    if (exact != static_cast<std::int64_t>(lo)) lo_left_int64 = true;
+  }
+};
+
+/// Walk one row (bias, then every term) through the mirror, then run the
+/// dispatched and scalar kernels against step() on it. Sample 0 takes the
+/// walk's activations, sample 1 zeroes every other one, sample 2 all.
+void walk_and_match(const num::Format& fmt, std::size_t k, const std::vector<Term>& terms,
+                    std::uint32_t bias_bits, LimbMirror& mirror) {
+  ASSERT_EQ(terms.size(), k);
+  const auto kern = MatmulKernel::create_scalar(fmt, k);
+  ASSERT_NE(kern, nullptr);
+  std::vector<DecodedOp> wdec(k);
+  const PackedPlane p = kern->pack_plane(wdec.data(), 1, &bias_bits);
+  if (p.bias_nar[0] == 0) mirror.add(p.bias_ssig[0], p.bias_shift[0]);
+  for (const Term& t : terms) {
+    mirror.add(t.prod, t.shift);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  const std::uint32_t zero = zero_pattern(fmt);
+  std::vector<std::uint32_t> weights(k);
+  std::vector<std::uint32_t> acts(3 * k, zero);
+  for (std::size_t i = 0; i < k; ++i) {
+    weights[i] = terms[i].w;
+    acts[i] = terms[i].a;
+    if (i % 2 == 0) acts[k + i] = terms[i].a;
+  }
+  expect_kernels_match_step(fmt, k, weights, {bias_bits}, acts, 3);
+}
+
+/// Largest product shift any finite pair reaches.
+int max_product_shift(const KernelSpec& spec) {
+  int max_sf = 0;
+  bool any = false;
+  for (const DecodedOp& d : finite_operands(spec.fmt)) {
+    max_sf = any ? std::max(max_sf, d.sf) : d.sf;
+    any = true;
+  }
+  return 2 * max_sf + spec.sf_bias;
+}
+
+/// The two-limb formats of the paper grid, each at the largest power-of-two
+/// fan-in (<= 128) that still splits.
+std::vector<std::pair<num::Format, std::size_t>> two_limb_cases() {
+  std::vector<std::pair<num::Format, std::size_t>> cases;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      for (std::size_t k = 128; k >= 2; k /= 2) {
+        KernelSpec spec(fmt);
+        if (make_kernel_spec(fmt, k, spec) && spec.limbs == 2) {
+          cases.emplace_back(fmt, k);
+          break;
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(KernelBound, TwoLimbAdversarialWalksRebuildTheExactSum) {
+  const auto cases = two_limb_cases();
+  ASSERT_GE(cases.size(), 4u);  // posit<8,1>, <7,2>, <6,2>, <8,2> at least
+  for (const auto& [fmt, k] : cases) {
+    SCOPED_TRACE(fmt.name() + " k=" + std::to_string(k));
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, k, spec));
+    const int split = spec.limb_split;
+    const int max_shift = max_product_shift(spec);
+    Term lo_pos, lo_neg, hi_pos, hi_neg;
+    const std::vector<DecodedOp> ops = finite_operands(fmt);
+    ASSERT_TRUE(max_term_at(spec, ops, split - 1, false, lo_pos));
+    ASSERT_TRUE(max_term_at(spec, ops, split - 1, true, lo_neg));
+    ASSERT_TRUE(max_term_at(spec, ops, max_shift, false, hi_pos));
+    ASSERT_TRUE(max_term_at(spec, ops, max_shift, true, hi_neg));
+    const std::uint32_t maxpos = find_extremes(fmt).max_mag;
+
+    bool lo_left_int64 = false;
+    const auto walk = [&](const std::vector<Term>& terms, std::uint32_t bias) {
+      LimbMirror mirror;
+      mirror.split = split;
+      walk_and_match(fmt, k, terms, bias, mirror);
+      lo_left_int64 = lo_left_int64 || mirror.lo_left_int64;
+    };
+    // Every product at max magnitude with shift T - 1: the largest lo limb.
+    walk(std::vector<Term>(k, lo_pos), maxpos);
+    walk(std::vector<Term>(k, lo_neg), maxpos);
+    // Every product at max magnitude with shift max_shift: the largest hi
+    // limb; the lo limb holds the same sum mod 2^64.
+    walk(std::vector<Term>(k, hi_pos), maxpos);
+    walk(std::vector<Term>(k, hi_neg), maxpos);
+    // Alternating signs: the lo limb takes every max-shift term mod 2^64
+    // while the exact sum keeps cancelling back to (almost) nothing.
+    std::vector<Term> alternating(k);
+    for (std::size_t i = 0; i < k; ++i) alternating[i] = i % 2 == 0 ? hi_pos : hi_neg;
+    walk(alternating, zero_pattern(fmt));
+    // Both limbs at once, cancelling in pairs across the split.
+    std::vector<Term> crossing(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      crossing[i] = i % 4 == 0 ? hi_pos : (i % 4 == 1 ? lo_neg : (i % 4 == 2 ? hi_neg : lo_pos));
+    }
+    walk(crossing, maxpos);
+    // One max term alone at every shift. Sums that large saturate the
+    // readout above, but a lone term need not: past shift 63 (posit<8,2>)
+    // it never reaches the lo limb, so only the hi limb carries it.
+    const std::uint32_t zero = zero_pattern(fmt);
+    for (int shift = 0; shift <= max_shift; ++shift) {
+      Term t;
+      if (!max_term_at(spec, ops, shift, false, t)) continue;
+      std::vector<Term> single(k, Term{zero, zero, 0, 0});
+      single[k / 2] = t;
+      walk(single, zero);
+    }
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    // The walks must reach sums the lo limb alone cannot hold, or the join
+    // would go untested.
+    EXPECT_TRUE(lo_left_int64);
   }
 }
 

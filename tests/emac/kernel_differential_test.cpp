@@ -201,6 +201,23 @@ TEST(KernelDifferential, LongAccumulationLengths) {
   }
 }
 
+TEST(KernelDifferential, TwoLimbFormatsAtTheBenchmarkFanIns) {
+  // The formats whose bound passes one int64 but splits into two limbs, at
+  // the 64/128 fan-ins of the benchmark network: the dispatched kernel is
+  // avx2-2limb wherever the CPU has AVX2.
+  std::uint32_t seed = 4201u;
+  for (const num::Format& fmt :
+       {num::Format{num::PositFormat{8, 1}}, num::Format{num::PositFormat{7, 2}},
+        num::Format{num::PositFormat{6, 2}}}) {
+    for (const std::size_t k : {std::size_t{64}, std::size_t{128}}) {
+      KernelSpec spec(fmt);
+      ASSERT_TRUE(make_kernel_spec(fmt, k, spec));
+      EXPECT_EQ(spec.limbs, 2) << fmt.name() << " k=" << k;
+      run_case({fmt, k, /*rows=*/3, /*samples=*/35, seed++});
+    }
+  }
+}
+
 TEST(KernelDifferential, RejectsUnsupportedShapes) {
   const num::Format fmt{num::PositFormat{8, 0}};
   EXPECT_EQ(MatmulKernel::create(fmt, 0), nullptr);

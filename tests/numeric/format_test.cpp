@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 namespace dp::num {
 namespace {
@@ -138,6 +141,31 @@ TEST(FormatConvert, SpecialsCrossBoundariesDeterministically) {
   const std::uint32_t maxpos = p8.from_double(1e6);
   EXPECT_EQ(convert(maxpos, p8, x6), x6.from_double(p8.to_double(maxpos)));
   EXPECT_TRUE(std::isfinite(x6.to_double(convert(maxpos, p8, x6))));
+}
+
+TEST(FormatConvert, TableMatchesConvertForEveryPaperGridPair) {
+  // runtime::Model re-encodes mixed-boundary activations through this table;
+  // it must be convert() verbatim for every pattern of every ordered pair.
+  std::vector<Format> grid;
+  for (int n = 5; n <= 8; ++n) {
+    for (const Format& fmt : paper_format_grid(n)) grid.push_back(fmt);
+  }
+  for (const Format& from : grid) {
+    for (const Format& to : grid) {
+      const std::vector<std::uint32_t> table = convert_table(from, to);
+      ASSERT_EQ(table.size(), std::size_t{1} << from.total_bits()) << from.name();
+      for (std::uint32_t b = 0; b < table.size(); ++b) {
+        ASSERT_EQ(table[b], convert(b, from, to))
+            << from.name() << " -> " << to.name() << " pattern " << b;
+      }
+      // The NaR -> fixed poison rides the table like any other entry.
+      if (from.kind() == Kind::kPosit && to.kind() == Kind::kFixed) {
+        EXPECT_EQ(table[from.posit().nar_pattern()],
+                  fixed_from_raw(to.fixed().raw_min(), to.fixed()))
+            << from.name() << " -> " << to.name();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <future>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -35,8 +36,9 @@ std::vector<double> random_batch(std::size_t rows, std::size_t dim, std::uint32_
 }
 
 std::vector<num::Format> rep_formats() {
-  return {num::Format{num::PositFormat{8, 0}}, num::Format{num::PositFormat{5, 1}},
-          num::Format{num::FloatFormat{4, 3}}, num::Format{num::FixedFormat{8, 6}}};
+  return {num::Format{num::PositFormat{8, 0}}, num::Format{num::PositFormat{8, 1}},
+          num::Format{num::PositFormat{5, 1}}, num::Format{num::FloatFormat{4, 3}},
+          num::Format{num::FixedFormat{8, 6}}};
 }
 
 TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
@@ -97,6 +99,34 @@ TEST(BlockedSession, ForcedScalarKernelIsBitIdenticalToDispatched) {
   const BatchView view(flat, net.input_dim());
   EXPECT_EQ(a.forward_bits(view).data, b.forward_bits(view).data)
       << "dispatched kernel=" << dispatched->kernel_name();
+}
+
+TEST(BlockedSession, PositEightOneDispatchIsPinned) {
+  // posit<8,1>'s bound passes 62 bits, so with AVX2 it takes the two-limb
+  // kernel at tile 16; DP_FORCE_SCALAR_KERNEL pins the portable kernel at
+  // tile 8. Both legs are built here whatever the caller's environment says.
+  const nn::Mlp net = random_net();
+  const num::Format fmt{num::PositFormat{8, 1}};
+  const char* prior = std::getenv("DP_FORCE_SCALAR_KERNEL");
+  const std::string saved = prior != nullptr ? prior : "";
+  unsetenv("DP_FORCE_SCALAR_KERNEL");
+  const auto native = Model::create(nn::quantize(net, fmt));
+  setenv("DP_FORCE_SCALAR_KERNEL", "1", /*overwrite=*/1);
+  const auto forced = Model::create(nn::quantize(net, fmt));
+  if (prior != nullptr) {
+    setenv("DP_FORCE_SCALAR_KERNEL", saved.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("DP_FORCE_SCALAR_KERNEL");
+  }
+
+  bool avx2 = false;
+#if defined(DP_HAVE_AVX2_KERNEL)
+  avx2 = __builtin_cpu_supports("avx2") != 0;
+#endif
+  EXPECT_STREQ(native->kernel_name(), avx2 ? "avx2-2limb" : "scalar-blocked");
+  EXPECT_EQ(native->preferred_tile(), avx2 ? 16u : 8u);
+  EXPECT_STREQ(forced->kernel_name(), "scalar-blocked");
+  EXPECT_EQ(forced->preferred_tile(), 8u);
 }
 
 TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
