@@ -169,7 +169,9 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
     std::string lf_json = "[";
     for (std::size_t li = 0; li < asn.size(); ++li) {
       if (li != 0) lf_json += ", ";
-      lf_json += "\"" + asn[li].name() + "\"";
+      lf_json += '"';
+      lf_json += asn[li].name();
+      lf_json += '"';
     }
     lf_json += "]";
     const std::vector<double> flat = random_batch(rows, net.input_dim());

@@ -87,7 +87,9 @@ std::string layer_formats_json(const runtime::Model& model) {
   std::string out = "[";
   for (std::size_t li = 0; li < net.layers.size(); ++li) {
     if (li != 0) out += ", ";
-    out += "\"" + net.layer_format(li).name() + "\"";
+    out += '"';
+    out += net.layer_format(li).name();
+    out += '"';
   }
   return out + "]";
 }

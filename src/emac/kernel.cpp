@@ -23,33 +23,10 @@ bool scalar_kernel_forced() {
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
-/// Fixed-family readout: the register holds the exact 2q-fraction sum, so
-/// (acc >> q) truncated toward -inf and clipped to the raw range is the
-/// FixedEmac result verbatim. Overloaded per policy so only the policies the
-/// spec can actually select compile a register extraction.
-std::uint32_t readout_fixed(const AccKulisch64& acc, const num::FixedFormat& f) {
-  const std::int64_t shifted = acc.v >> f.q;
-  const std::int64_t lo = f.raw_min();
-  const std::int64_t hi = f.raw_max();
-  return num::fixed_from_raw(shifted < lo ? lo : (shifted > hi ? hi : shifted), f);
-}
-
-std::uint32_t readout_fixed(const AccKulisch128& acc, const num::FixedFormat& f) {
-  const __int128 shifted = acc.v >> f.q;
-  const __int128 lo = f.raw_min();
-  const __int128 hi = f.raw_max();
-  const __int128 clipped = shifted < lo ? lo : (shifted > hi ? hi : shifted);
-  return num::fixed_from_raw(static_cast<std::int64_t>(clipped), f);
-}
-
-std::uint32_t readout_fixed(const AccKulischWide&, const num::FixedFormat&) {
-  // make_kernel_spec caps the fixed family at the 128-bit register.
-  throw std::logic_error("MatmulKernel: fixed family never selects the wide register");
-}
-
-/// Final exact reduction of one finished lane: the same is_zero/readout/
+/// The generic reduction of one finished lane: the same is_zero/readout/
 /// encode sequence as the fused dot_impl paths, so the rounded pattern is
-/// bit-identical by construction.
+/// bit-identical by construction. Posit and float only; make_kernel_spec
+/// gives fixed formats the inline kFixed readout and caps them at 128 bits.
 template <typename Acc>
 std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds) {
   switch (spec.fmt.kind()) {
@@ -70,9 +47,23 @@ std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds
       return num::float_encode(u, f, num::FloatOverflow::kSaturate);
     }
     case num::Kind::kFixed:
-      return readout_fixed(acc, spec.fmt.fixed());
+      break;
   }
-  throw std::logic_error("MatmulKernel: bad format kind");
+  throw std::logic_error("MatmulKernel: no generic readout for this format");
+}
+
+/// One scalar-kernel lane: the shared readout for the int64 and 128-bit
+/// registers, the generic encoder for the 256-bit one.
+std::uint32_t readout_lane(const KernelSpec& spec, const AccKulisch64& acc, unsigned kinds) {
+  return readout_kernel_lane(spec, acc.v, kinds);
+}
+
+std::uint32_t readout_lane(const KernelSpec& spec, const AccKulisch128& acc, unsigned kinds) {
+  return readout_kernel_lane(spec, acc.v, kinds);
+}
+
+std::uint32_t readout_lane(const KernelSpec& spec, const AccKulischWide& acc, unsigned kinds) {
+  return readout_acc(spec, acc, kinds);
 }
 
 /// The portable register-blocked kernel: an 8-sample tile, one accum.hpp
@@ -113,7 +104,7 @@ class ScalarBlockedKernel final : public MatmulKernel {
           w.row_kinds[r] |
           (w.bias_nar[r] != 0 ? static_cast<unsigned>(DecodedOp::kNaR) : 0u);
       for (std::size_t s = 0; s < samples; ++s) {
-        out[r * stride + s] = readout_acc(spec_, acc[s], rk | acts.kinds[s]);
+        out[r * stride + s] = readout_lane(spec_, acc[s], rk | acts.kinds[s]);
       }
     }
   }
@@ -133,13 +124,17 @@ std::unique_ptr<MatmulKernel> make_scalar_kernel(const KernelSpec& spec) {
 
 }  // namespace
 
-std::uint32_t readout_kernel_lane(const KernelSpec& spec, std::int64_t acc, unsigned kinds) {
+namespace detail {
+
+std::uint32_t readout_lane_encoder(const KernelSpec& spec, std::int64_t acc, unsigned kinds) {
   return readout_acc(spec, AccKulisch64{acc}, kinds);
 }
 
-std::uint32_t readout_kernel_lane(const KernelSpec& spec, __int128 acc, unsigned kinds) {
+std::uint32_t readout_lane_encoder(const KernelSpec& spec, __int128 acc, unsigned kinds) {
   return readout_acc(spec, AccKulisch128{acc}, kinds);
 }
+
+}  // namespace detail
 
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   out = KernelSpec(fmt);
@@ -164,6 +159,9 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       prod_bits = 2 * static_cast<std::size_t>(p);
       max_shift = 4 * static_cast<std::size_t>(s);
       out.need_bits = max_shift + prod_bits + static_cast<std::size_t>(std::bit_width(k)) + 2;
+      out.nar_kinds = DecodedOp::kNaR;
+      out.nar_pattern = f.nar_pattern();
+      out.zero_pattern = f.zero_pattern();
       break;
     }
     case num::Kind::kFloat: {
@@ -179,6 +177,7 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       prod_bits = 2 * static_cast<std::size_t>(f.wf) + 2;
       max_shift = 2 * static_cast<std::size_t>(f.expmax());
       out.need_bits = max_shift + prod_bits + static_cast<std::size_t>(std::bit_width(k)) + 1;
+      out.zero_pattern = num::float_zero(f);
       break;
     }
     case num::Kind::kFixed: {
@@ -194,9 +193,15 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       // policy (the wide register has no cheap extraction and no real
       // format gets anywhere near 125 bits).
       if (out.need_bits > 125) return false;
+      out.readout = KernelSpec::Readout::kFixed;
+      out.fixed_lo = f.raw_min();
+      out.fixed_hi = f.raw_max();
+      out.fixed_mask = f.mask();
       break;
     }
   }
+  out.table = num::shared_encode_table(fmt);
+  if (out.table != nullptr) out.readout = KernelSpec::Readout::kTable;
   if (out.need_bits > 250) return false;  // same ceiling as the fused units
   out.acc_kind = select_acc_kind(out.need_bits);
   if (out.acc_kind == AccKind::kI64) {

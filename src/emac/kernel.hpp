@@ -18,9 +18,17 @@
 // to < 2^(need_bits - 1)), any accumulation order — per-sample, blocked, or
 // SIMD-lane-split — produces the identical integer, hence the identical
 // readout and the identical rounded pattern. The final exact reduction
-// reuses the accum.hpp policies and the format encoders verbatim, so the
-// kernel output is bit-identical to both Emac::dot() and the legacy step()
-// recurrence for every input (tests/emac/kernel_differential_test.cpp).
+// normalizes the register exactly as the accum.hpp policies do and rounds
+// it once (readout_kernel_lane). Posit and float formats of at most 8 bits
+// round through the shared num::EncodeTable: the encoders' pattern depends
+// only on the sign, the clamped scale, the n-1 bits under the hidden bit and
+// one sticky bit, and the table holds the encoder's own output for every
+// such cell (numeric/encode_table.hpp), so a table load returns the pattern
+// the encoder would. Wider formats call the encoders, fixed formats shift
+// and clip. The kernel output is therefore bit-identical to both
+// Emac::dot() and the legacy step() recurrence for every input
+// (tests/emac/kernel_differential_test.cpp; the lane readout itself in
+// tests/emac/kernel_bound_test.cpp).
 //
 // Three kernels sit behind MatmulKernel::create(), the first two one AVX2
 // class templated on its limb count:
@@ -37,13 +45,15 @@
 //    H = hi * 2^T is the exact sum of the shift >= T terms, lo - H mod 2^64
 //    is the exact sum of the rest (it fits int64), and H + that difference
 //    rebuilds the exact register, which the AccKulisch128 readout rounds
-//    (join_kernel_limbs). The same integer, hence the same pattern.
+//    (join_kernel_limbs), the bits below its top 64 folded into the sticky
+//    bit. The same integer, hence the same pattern.
 //  * scalar-blocked — portable fallback, 8-sample tile, same layout, the
 //    accumulators are plain accum.hpp policy values (all three widths).
 // DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") forces the
 // portable kernel regardless of CPU support — the no-rebuild cross-check
 // knob, mirroring DP_FORCE_STEP_PATH.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -52,6 +62,7 @@
 #include "emac/accum.hpp"
 #include "emac/decode_lut.hpp"
 #include "emac/emac.hpp"
+#include "numeric/encode_table.hpp"
 #include "numeric/format.hpp"
 
 namespace dp::emac {
@@ -90,6 +101,21 @@ struct KernelSpec {
   /// The two-limb shift threshold T: products with shift >= T also
   /// accumulate into the hi limb as prod << (shift - T). 0 unless limbs == 2.
   int limb_split = 0;
+
+  /// How readout_kernel_lane rounds a finished lane.
+  ///  * kTable — posit and float formats of <= 8 bits: one `table` load.
+  ///  * kFixed — fixed formats: (acc >> fixed_q) clipped to [fixed_lo,
+  ///    fixed_hi], masked to the pattern width.
+  ///  * kEncoder — wider formats: the generic posit/float encoder.
+  enum class Readout : std::uint8_t { kTable, kFixed, kEncoder };
+  Readout readout = Readout::kEncoder;
+  const num::EncodeTable* table = nullptr;  ///< kTable; lives for the process
+  unsigned nar_kinds = 0;         ///< DecodedOp::kNaR for posit, 0 otherwise
+  std::uint32_t nar_pattern = 0;  ///< posit NaR
+  std::uint32_t zero_pattern = 0; ///< an exactly zero register (float: +0)
+  std::int64_t fixed_lo = 0;      ///< fixed raw_min
+  std::int64_t fixed_hi = 0;      ///< fixed raw_max
+  std::uint32_t fixed_mask = 0;   ///< fixed pattern mask
 };
 
 /// A weight plane re-packed for the blocked kernels: per-element signed
@@ -178,10 +204,73 @@ class MatmulKernel {
 /// exceeds the 250-bit policy ceiling). Exposed for the bound tests.
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out);
 
-/// Final exact reduction of one finished lane (the AVX2 spill path):
-/// identical to the scalar kernel's AccKulisch64 / AccKulisch128 readout.
-std::uint32_t readout_kernel_lane(const KernelSpec& spec, std::int64_t acc, unsigned kinds);
-std::uint32_t readout_kernel_lane(const KernelSpec& spec, __int128 acc, unsigned kinds);
+namespace detail {
+
+/// The kEncoder readout: AccKulisch64 / AccKulisch128::readout, then the
+/// generic encoder (kernel.cpp).
+std::uint32_t readout_lane_encoder(const KernelSpec& spec, std::int64_t acc, unsigned kinds);
+std::uint32_t readout_lane_encoder(const KernelSpec& spec, __int128 acc, unsigned kinds);
+
+template <typename Reg>
+std::uint32_t readout_lane_fixed(const KernelSpec& spec, Reg acc) {
+  const Reg shifted = acc >> spec.fixed_q;
+  const Reg clipped = shifted < spec.fixed_lo ? spec.fixed_lo
+                                              : (shifted > spec.fixed_hi ? spec.fixed_hi : shifted);
+  return static_cast<std::uint32_t>(clipped) & spec.fixed_mask;
+}
+
+}  // namespace detail
+
+/// Final exact reduction of one finished lane, shared by every kernel: the
+/// pattern the fused dot() path produces for the same register (the
+/// AccKulisch64 readout plus the format's encoder, or the FixedEmac shift
+/// and clip). `kinds` is the OR of the lane's operand kinds.
+inline std::uint32_t readout_kernel_lane(const KernelSpec& spec, std::int64_t acc,
+                                         unsigned kinds) {
+  switch (spec.readout) {
+    case KernelSpec::Readout::kTable: {
+      if ((kinds & spec.nar_kinds) != 0) return spec.nar_pattern;
+      if (acc == 0) return spec.zero_pattern;
+      const bool neg = acc < 0;
+      const std::uint64_t mag =
+          neg ? 0 - static_cast<std::uint64_t>(acc) : static_cast<std::uint64_t>(acc);
+      const int lz = std::countl_zero(mag);
+      return spec.table->encode(neg, 63 - lz - spec.frame, mag << lz, false);
+    }
+    case KernelSpec::Readout::kFixed:
+      return detail::readout_lane_fixed(spec, acc);
+    case KernelSpec::Readout::kEncoder:
+      break;
+  }
+  return detail::readout_lane_encoder(spec, acc, kinds);
+}
+
+/// The same for a 128-bit register (AccKulisch128, joined two-limb lanes):
+/// the magnitude is normalized so its top 64 bits are the fraction and any
+/// bit below them sets the sticky bit.
+inline std::uint32_t readout_kernel_lane(const KernelSpec& spec, __int128 acc, unsigned kinds) {
+  switch (spec.readout) {
+    case KernelSpec::Readout::kTable: {
+      using u128 = unsigned __int128;
+      if ((kinds & spec.nar_kinds) != 0) return spec.nar_pattern;
+      if (acc == 0) return spec.zero_pattern;
+      const bool neg = acc < 0;
+      const u128 mag = neg ? 0 - static_cast<u128>(acc) : static_cast<u128>(acc);
+      const auto hi = static_cast<std::uint64_t>(mag >> 64);
+      const int lz = hi != 0 ? std::countl_zero(hi)
+                             : 64 + std::countl_zero(static_cast<std::uint64_t>(mag));
+      const u128 norm = mag << lz;
+      return spec.table->encode(neg, 127 - lz - spec.frame,
+                                static_cast<std::uint64_t>(norm >> 64),
+                                static_cast<std::uint64_t>(norm) != 0);
+    }
+    case KernelSpec::Readout::kFixed:
+      return detail::readout_lane_fixed(spec, acc);
+    case KernelSpec::Readout::kEncoder:
+      break;
+  }
+  return detail::readout_lane_encoder(spec, acc, kinds);
+}
 
 /// The exact register of a two-limb lane split at `split`: hi * 2^split is
 /// the exact sum of the shift >= split terms, and lo minus that, mod 2^64,

@@ -36,7 +36,7 @@ struct QuantizedNetwork {
   /// Empty = every layer uses `format` (uniform; the only state that existed
   /// before mixed precision). Otherwise exactly one entry per layer, with
   /// entry 0 == format (validate_layer_formats enforces both).
-  std::vector<num::Format> layer_formats;
+  std::vector<num::Format> layer_formats{};
 
   std::size_t input_dim() const { return layers.front().fan_in; }
   std::size_t output_dim() const { return layers.back().fan_out; }

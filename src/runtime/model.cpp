@@ -8,6 +8,7 @@
 
 #include "emac/decode_lut.hpp"
 #include "nn/io.hpp"
+#include "numeric/encode_table.hpp"
 
 namespace dp::runtime {
 
@@ -81,6 +82,7 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
       kernels_.push_back(std::move(kern));
     }
     if (blocked) {
+      input_table_ = num::shared_encode_table(net_.input_format());
       tile_ = kernels_.front()->tile();
       packed_planes_.reserve(net_.layers.size());
       for (std::size_t li = 0; li < net_.layers.size(); ++li) {
@@ -247,12 +249,15 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
   // Quantize the tile straight into the lane-interleaved layout the kernels
   // consume: element i of sample s at [i*tile + s]. Pad lanes stay zero
   // (never read: pack_acts and the output copy only touch s < nrows).
+  // Posit and float inputs of <= 8 bits round through the shared encode
+  // table, bit-identical to Format::from_double (the single-row path).
   const std::size_t in_dim = net_.input_dim();
   bits.assign(in_dim * tile, 0);
   for (std::size_t s = 0; s < nrows; ++s) {
     const std::span<const double> row = xs.row(row0 + s);
     for (std::size_t i = 0; i < in_dim; ++i) {
-      bits[i * tile + s] = net_.input_format().from_double(row[i]);
+      bits[i * tile + s] = input_table_ != nullptr ? input_table_->from_double(row[i])
+                                                   : net_.input_format().from_double(row[i]);
     }
   }
   for (std::size_t li = 0; li < net_.layers.size(); ++li) {

@@ -179,6 +179,9 @@ class Model {
   // construction, shared read-only like the planes above.
   std::vector<std::unique_ptr<emac::MatmulKernel>> kernels_;
   std::vector<emac::PackedPlane> packed_planes_;
+  // forward_tile_into's input quantizer: the shared encode table of the
+  // input format, or null (fixed or wider formats: Format::from_double).
+  const num::EncodeTable* input_table_ = nullptr;
   std::size_t tile_ = 1;
 };
 

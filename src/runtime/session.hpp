@@ -39,7 +39,7 @@ struct SessionOptions {
   /// dispatcher of every per-shard serve::DynamicBatcher) may point at one
   /// pool sized to the machine — the Session allocates one Scratch per pool
   /// slot either way.
-  std::shared_ptr<WorkerPool> pool;
+  std::shared_ptr<WorkerPool> pool{};
   /// Drive multi-row batches through the Model's register-blocked
   /// multi-sample kernels when the model has them (bit-identical to the
   /// per-sample path for every batch shape and pool size —

@@ -80,7 +80,7 @@ struct BatcherOptions {
   /// Session instead of spawning session_threads-sized private pools. The
   /// sharded Server uses this so N shards x M dispatchers do not oversubscribe
   /// the box with N*M pools.
-  std::shared_ptr<runtime::WorkerPool> shared_pool;
+  std::shared_ptr<runtime::WorkerPool> shared_pool{};
   /// Align SIZE-TRIGGERED flushes to a multiple of this many rows, so burst
   /// carves hand the Model's register-blocked kernels whole sample tiles
   /// (a ragged tail re-reads every weight plane for a fraction of a tile).

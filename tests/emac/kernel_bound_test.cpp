@@ -10,7 +10,9 @@
 // select_acc_kind register boundaries and the relation to the paper's
 // eq. (4) quire width. The two-limb split gets the same treatment per limb:
 // a worst-case check at every bit_width(k) step, and adversarial walks
-// mirrored limb by limb in scalar code beside the exact sum.
+// mirrored limb by limb in scalar code beside the exact sum. Last, the lane
+// readout every kernel shares is driven directly against the register
+// readout plus the generic encoders.
 
 #include "emac/kernel.hpp"
 
@@ -643,6 +645,115 @@ TEST(KernelBound, TwoLimbAdversarialWalksRebuildTheExactSum) {
     // The walks must reach sums the lo limb alone cannot hold, or the join
     // would go untested.
     EXPECT_TRUE(lo_left_int64);
+  }
+}
+
+// --- The lane readout --------------------------------------------------------
+// readout_kernel_lane — the encode-table readout of posit and float formats
+// up to 8 bits, the fixed shift-and-clip, the encoder fallback of wider
+// formats — against the accum.hpp register readout plus the generic encoder,
+// with the msb at every position of a one-limb and of a joined two-limb
+// register and round-to-nearest-even ties built under it.
+
+/// The reference: the AccKulisch64 / AccKulisch128 readout and the format's
+/// own encoder after the NaR and zero screens, or the FixedEmac shift and
+/// clip.
+template <typename Acc>
+std::uint32_t reference_readout(const KernelSpec& spec, const Acc& acc, unsigned kinds) {
+  const num::Format& fmt = spec.fmt;
+  num::Unpacked u;
+  switch (fmt.kind()) {
+    case num::Kind::kPosit:
+      if ((kinds & DecodedOp::kNaR) != 0) return fmt.posit().nar_pattern();
+      if (acc.is_zero()) return fmt.posit().zero_pattern();
+      acc.readout(u, spec.frame);
+      return num::posit_encode(u, fmt.posit());
+    case num::Kind::kFloat:
+      if (acc.is_zero()) return num::float_zero(fmt.flt());
+      acc.readout(u, spec.frame);
+      return num::float_encode(u, fmt.flt(), num::FloatOverflow::kSaturate);
+    case num::Kind::kFixed: {
+      const num::FixedFormat& f = fmt.fixed();
+      const i128 shifted = static_cast<i128>(acc.v) >> f.q;
+      return num::fixed_from_raw(
+          static_cast<std::int64_t>(std::clamp<i128>(shifted, f.raw_min(), f.raw_max())), f);
+    }
+  }
+  return 0;
+}
+
+/// Magnitudes with the msb at bit p: the msb alone, all ones under it, and
+/// for every guard position g bits below the msb a tie with the bit above
+/// the guard clear and set, and the guard with a sticky bit just under it
+/// and at bit 0.
+std::vector<u128> readout_magnitudes(int p) {
+  const u128 one = 1;
+  const u128 top = one << p;
+  std::vector<u128> mags = {top, (top << 1) - 1};
+  for (int g = 1; g <= std::min(p, 10); ++g) {
+    const u128 tie = top | (one << (p - g));
+    mags.push_back(tie);
+    if (g > 1) mags.push_back(tie | (one << (p - g + 1)));
+    if (p - g > 0) {
+      mags.push_back(tie | (one << (p - g - 1)));
+      mags.push_back(tie | 1);
+    }
+  }
+  return mags;
+}
+
+KernelSpec::Readout expected_readout(const num::Format& fmt) {
+  if (fmt.kind() == num::Kind::kFixed) return KernelSpec::Readout::kFixed;
+  return fmt.total_bits() <= 8 ? KernelSpec::Readout::kTable : KernelSpec::Readout::kEncoder;
+}
+
+TEST(KernelBound, LaneReadoutMatchesTheRegisterReadoutAndEncoder) {
+  std::vector<num::Format> formats;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) formats.push_back(fmt);
+  }
+  formats.emplace_back(num::PositFormat{16, 1});  // the encoder fallback
+  formats.emplace_back(num::FloatFormat{5, 10});
+  const unsigned kinds_list[] = {DecodedOp::kFinite, DecodedOp::kFinite | DecodedOp::kZero,
+                                 DecodedOp::kFinite | DecodedOp::kNaR, DecodedOp::kZero,
+                                 DecodedOp::kNaR};
+  for (const num::Format& fmt : formats) {
+    SCOPED_TRACE(fmt.name());
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, 128, spec));
+    ASSERT_EQ(spec.readout, expected_readout(fmt));
+    // The two-limb lanes reach the readout through join_kernel_limbs; split
+    // every 128-bit register there, at the spec's own T when it has one,
+    // raised as far as the hi limb needs to stay inside int64.
+    const int split = spec.limbs == 2 ? spec.limb_split : 32;
+    for (const unsigned kinds : kinds_list) {
+      ASSERT_EQ(readout_kernel_lane(spec, std::int64_t{0}, kinds),
+                reference_readout(spec, AccKulisch64{0}, kinds));
+      ASSERT_EQ(readout_kernel_lane(spec, i128{0}, kinds),
+                reference_readout(spec, AccKulisch128{0}, kinds));
+    }
+    for (int p = 0; p <= 124; ++p) {
+      for (const u128 mag : readout_magnitudes(p)) {
+        for (const bool neg : {false, true}) {
+          const i128 v = neg ? -static_cast<i128>(mag) : static_cast<i128>(mag);
+          const int t = std::max(split, p - 61);
+          const i128 joined = join_kernel_limbs(static_cast<std::int64_t>(v >> t),
+                                                static_cast<std::int64_t>(v), t);
+          ASSERT_TRUE(joined == v) << "p=" << p;
+          for (const unsigned kinds : kinds_list) {
+            if (p <= 61) {
+              const auto v64 = static_cast<std::int64_t>(v);
+              ASSERT_EQ(readout_kernel_lane(spec, v64, kinds),
+                        reference_readout(spec, AccKulisch64{v64}, kinds))
+                  << "one limb, p=" << p << " neg=" << neg << " kinds=" << kinds;
+            }
+            ASSERT_EQ(readout_kernel_lane(spec, joined, kinds),
+                      reference_readout(spec, AccKulisch128{joined}, kinds))
+                << "two limbs, p=" << p << " neg=" << neg << " kinds=" << kinds;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -236,9 +236,9 @@ TEST_P(BitsModelTest, ArithmeticMatchesModel) {
     EXPECT_EQ(a == b, xa == xb);
 
     const auto signed_of = [&](u128 v) -> __int128 {
-      if (w < 128 && (v >> (w - 1)) & 1) {
-        return static_cast<__int128>(v) - static_cast<__int128>(u128{1} << w);
-      }
+      // Sign-extend in unsigned arithmetic (wraps mod 2^128), then convert:
+      // the signed subtraction overflows at w = 127.
+      if (w < 128 && (v >> (w - 1)) & 1) return static_cast<__int128>(v - (u128{1} << w));
       return static_cast<__int128>(v);
     };
     if (w < 128) {
@@ -317,7 +317,7 @@ TEST_P(BitsModelTest, MulWideMatchesModel) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitsModelTest,
                          ::testing::Values(1, 2, 3, 7, 8, 16, 31, 32, 33, 63, 64, 65, 96, 127),
-                         [](const auto& info) { return "w" + std::to_string(info.param); });
+                         [](const auto& info) { return std::string("w") + std::to_string(info.param); });
 
 // mul_wide beyond the model range: check via schoolbook identity on limbs.
 TEST(BitsMulWide, VeryWideAssociativityWithShift) {
