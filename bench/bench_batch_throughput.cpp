@@ -1,21 +1,18 @@
 // Batched inference throughput and latency of the runtime Model/Session API
-// (persistent worker pool, contiguous zero-copy batches), for the 8-bit
-// format families, on all three matvec paths (register-blocked multi-sample
-// kernels, the fused Emac::dot() row path, and the legacy per-MAC step()
-// recurrence), with the bit-identical-results guarantee checked across pool
-// sizes AND across every path. Where the AVX2 kernel dispatched and the
-// batch spans a tile, the blocked path must beat the fused path
-// single-threaded or the bench exits non-zero. This is the
-// engineering bench for the batch engine (no paper counterpart; the paper
-// reports per-inference hardware latency, see bench_latency).
+// (persistent worker pool, contiguous zero-copy batches, register-blocked
+// multi-sample kernels), for the 8-bit format families, with every pool
+// size's output checked bit for bit against the per-MAC step() recurrence
+// run row by row (tests/step_oracle.hpp); any mismatch exits non-zero. This
+// is the engineering bench for the batch engine (no paper counterpart; the
+// paper reports per-inference hardware latency, see bench_latency).
 //
 // Two modes, each dumped as machine-readable JSON so CI can archive one
 // artifact per commit and track the perf trajectory PR-over-PR:
 //
 //  * throughput (default): inferences/sec of Session::predict vs pool size,
 //    best-of-N timed repetitions over one large batch. The Session (and its
-//    pool) persists across repetitions — the per-call thread-spawn cost of
-//    the legacy DeepPositron::*_batch API is gone by construction.
+//    pool) persists across repetitions, so no repetition pays a thread
+//    spawn.
 //    -> BENCH_throughput.json
 //  * latency (--latency): per-submit wall-time distribution (p50/p99/mean)
 //    across repeated submits per batch size on one persistent Session — the
@@ -46,6 +43,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "step_oracle.hpp"
 
 namespace {
 
@@ -84,10 +82,9 @@ struct Point {
   std::string format;              // uniform name, or "mixed" for a per-layer sweep entry
   std::string layer_formats_json;  // every layer's format name, as a JSON array
   double bits_per_weight;          // parameter-weighted mean storage bits
-  const char* path;
-  const char* kernel;  // blocked kernel in play: "avx2", "avx2-2limb", "scalar-blocked",
-                       // "mixed" or "-"
-  std::size_t tile;    // samples per weight-plane pass (1 = per-sample path)
+  const char* kernel;  // Model::kernel_name(): "avx2", "avx2-2limb", "scalar-blocked",
+                       // "step" or "mixed"
+  std::size_t tile;    // samples per weight-plane pass
   std::size_t threads;
   double inferences_per_s;
   double mmacs_per_s;
@@ -97,7 +94,7 @@ struct Point {
 };
 
 void write_throughput_json(const std::string& path, std::size_t rows, int repeats,
-                           std::size_t macs_per_inference, bool paths_bit_identical,
+                           std::size_t macs_per_inference,
                            const std::vector<Point>& points) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -112,19 +109,18 @@ void write_throughput_json(const std::string& path, std::size_t rows, int repeat
   std::fprintf(f, "  \"repeats\": %d,\n", repeats);
   std::fprintf(f, "  \"macs_per_inference\": %zu,\n", macs_per_inference);
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"paths_bit_identical\": %s,\n", paths_bit_identical ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     std::fprintf(f,
                  "    {\"format\": \"%s\", \"layer_formats\": %s, "
-                 "\"bits_per_weight\": %.4f, \"path\": \"%s\", \"kernel\": \"%s\", "
+                 "\"bits_per_weight\": %.4f, \"kernel\": \"%s\", "
                  "\"tile\": %zu, \"threads\": %zu, "
                  "\"inferences_per_s\": %.1f, \"mmacs_per_s\": %.2f, "
                  "\"speedup_vs_1t\": %.3f, \"per_core_efficiency\": %.3f, "
                  "\"bit_identical\": %s}%s\n",
-                 p.format.c_str(), p.layer_formats_json.c_str(), p.bits_per_weight, p.path,
-                 p.kernel, p.tile, p.threads, p.inferences_per_s, p.mmacs_per_s,
+                 p.format.c_str(), p.layer_formats_json.c_str(), p.bits_per_weight, p.kernel,
+                 p.tile, p.threads, p.inferences_per_s, p.mmacs_per_s,
                  p.speedup_vs_1t, p.per_core_efficiency, p.bit_identical ? "true" : "false",
                  i + 1 == points.size() ? "" : ",");
   }
@@ -160,12 +156,10 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
 
   std::vector<Point> points;
   std::size_t macs_per_inference = 0;
-  bool paths_bit_identical = true;
   for (const std::vector<num::Format>& asn : sweeps) {
-    const auto fused = runtime::Model::create(nn::quantize(net, asn));  // default path
-    const auto step =
-        runtime::Model::create(nn::quantize(net, asn), runtime::ForwardPath::kStep);
-    const std::string label = fused->mixed_format() ? "mixed" : asn.front().name();
+    const nn::QuantizedNetwork qnet = nn::quantize(net, asn);
+    const auto model = runtime::Model::create(qnet);
+    const std::string label = model->mixed_format() ? "mixed" : asn.front().name();
     std::string lf_json = "[";
     for (std::size_t li = 0; li < asn.size(); ++li) {
       if (li != 0) lf_json += ", ";
@@ -176,78 +170,39 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
     lf_json += "]";
     const std::vector<double> flat = random_batch(rows, net.input_dim());
     const runtime::BatchView xs(flat, net.input_dim());
-    const std::vector<int> reference = runtime::Session(fused).predict(xs);
-    macs_per_inference = fused->macs_per_inference();
+    // The reference: every row through the step() recurrence on its own.
+    const std::vector<std::uint32_t> reference = testing::step_forward_rows(qnet, xs);
+    macs_per_inference = model->macs_per_inference();
     const double macs = static_cast<double>(macs_per_inference) * static_cast<double>(rows);
 
-    const bool paths_match = runtime::Session(step).predict(xs) == reference;
-    if (!paths_match) paths_bit_identical = false;
-    std::printf("%s (%zu MACs/inference, kernel=%s tile=%zu)  all paths bit-identical: %s\n",
-                label.c_str(), macs_per_inference, fused->kernel_name(),
-                fused->preferred_tile(), paths_match ? "yes" : "NO <-- BUG");
-
-    // Three paths over the same quantized net: the register-blocked
-    // multi-sample kernels (default Session), the per-sample fused dot()
-    // path pinned via allow_blocked = false, and the legacy per-MAC step()
-    // recurrence. All three must agree bit-for-bit on every word.
-    struct PathSpec {
-      std::shared_ptr<const runtime::Model> model;
-      const char* name;
-      const char* kernel;
-      std::size_t tile;
-      bool allow_blocked;
-    };
-    const PathSpec paths[] = {
-        {fused, "blocked", fused->kernel_name(), fused->preferred_tile(), true},
-        {fused, "fused", "-", 1, false},
-        {step, "step", "-", 1, true}};
-    double blocked_1t = 0, fused_1t = 0;
-    for (const PathSpec& spec : paths) {
-      std::printf("  [%s]\n", spec.name);
-      std::printf("  %8s  %14s  %12s  %10s  %10s  %s\n", "threads", "inferences/s", "MMAC/s",
-                  "speedup", "per-core", "bit-identical");
-      double base = 0;
-      for (const std::size_t t : thread_counts) {
-        runtime::SessionOptions so;
-        so.num_threads = t;
-        so.allow_blocked = spec.allow_blocked;
-        runtime::Session session(spec.model, so);
-        const bool identical = session.predict(xs) == reference;
-        const double secs = best_seconds(session, xs, repeats);
-        const double ips = static_cast<double>(rows) / secs;
-        if (t == 1) base = ips;
-        if (t == 1 && std::strcmp(spec.name, "blocked") == 0) blocked_1t = ips;
-        if (t == 1 && std::strcmp(spec.name, "fused") == 0) fused_1t = ips;
-        const double speedup = ips / base;
-        const double per_core = speedup / static_cast<double>(t);
-        std::printf("  %8zu  %14.1f  %12.2f  %9.2fx  %10.3f  %s\n", t, ips, macs / secs / 1e6,
-                    speedup, per_core, identical ? "yes" : "NO <-- BUG");
-        points.push_back({label, lf_json, fused->bits_per_weight(), spec.name, spec.kernel,
-                          spec.tile, t, ips, macs / secs / 1e6, speedup, per_core,
-                          identical});
-        if (!identical) return 1;
-      }
-    }
-    // Must-win gate: where a SIMD kernel ("avx2" or "avx2-2limb") dispatched
-    // and the batch spans at least one tile, the blocked path has no excuse
-    // to lose to the per-sample fused path single-threaded — a loss means the
-    // kernel layer regressed, so the bench (and CI) fails.
-    if (std::strncmp(fused->kernel_name(), "avx2", 4) == 0 && rows >= fused->preferred_tile() &&
-        blocked_1t <= fused_1t) {
-      std::fprintf(stderr,
-                   "FAIL: %s blocked kernel (%s, tile %zu) did not beat the fused path "
-                   "single-threaded: %.1f vs %.1f inferences/s\n",
-                   label.c_str(), fused->kernel_name(), fused->preferred_tile(),
-                   blocked_1t, fused_1t);
-      return 1;
+    std::printf("%s (%zu MACs/inference, kernel=%s tile=%zu)\n", label.c_str(),
+                macs_per_inference, model->kernel_name(), model->preferred_tile());
+    std::printf("  %8s  %14s  %12s  %10s  %10s  %s\n", "threads", "inferences/s", "MMAC/s",
+                "speedup", "per-core", "bit-identical");
+    double base = 0;
+    for (const std::size_t t : thread_counts) {
+      runtime::SessionOptions so;
+      so.num_threads = t;
+      runtime::Session session(model, so);
+      const bool identical = session.forward_bits(xs).data == reference;
+      const double secs = best_seconds(session, xs, repeats);
+      const double ips = static_cast<double>(rows) / secs;
+      if (t == 1) base = ips;
+      const double speedup = ips / base;
+      const double per_core = speedup / static_cast<double>(t);
+      std::printf("  %8zu  %14.1f  %12.2f  %9.2fx  %10.3f  %s\n", t, ips, macs / secs / 1e6,
+                  speedup, per_core, identical ? "yes" : "NO <-- BUG");
+      points.push_back({label, lf_json, model->bits_per_weight(), model->kernel_name(),
+                        model->preferred_tile(), t, ips, macs / secs / 1e6, speedup, per_core,
+                        identical});
+      if (!identical) return 1;
     }
     std::printf("\n");
   }
   if (json_path != "-") {
-    write_throughput_json(json_path, rows, repeats, macs_per_inference, paths_bit_identical,
-                          points);
+    write_throughput_json(json_path, rows, repeats, macs_per_inference, points);
   }
-  return paths_bit_identical ? 0 : 1;
+  return 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the software EMAC models: throughput
-// of the functional (fast) units used by the inference engine — both the
-// per-MAC step() recurrence and the fused pre-decoded dot() row kernel —
-// of the bit-accurate RTL model, and of the scalar posit codec.
+// of the per-MAC step() recurrence on the functional (fast) units and on
+// the bit-accurate RTL model, and of the scalar posit codec. The inference
+// kernels are measured per MAC by bench_batch_throughput.
 //
 // Unless the caller passes --benchmark_out themselves, results are also
 // written as JSON to BENCH_emac_micro.json in the working directory so CI
@@ -54,41 +54,6 @@ void BM_PositEmacFast(benchmark::State& state) {
                  [](const num::Format& f, std::size_t k) { return emac::make_emac(f, k); });
 }
 BENCHMARK(BM_PositEmacFast)->Arg(0)->Arg(1)->Arg(2);
-
-/// Fused row path: one dot() per iteration over pre-decoded planes — the
-/// per-neuron call pattern of the DeepPositron engine's hot loop.
-template <typename MakeEmac>
-void run_dot_bench(benchmark::State& state, const num::Format& fmt, MakeEmac make) {
-  constexpr std::size_t kK = 64;
-  const auto w = random_patterns(fmt.total_bits(), kK, num::PositFormat{8, 0}.nar_pattern());
-  const auto a = random_patterns(fmt.total_bits(), kK, num::PositFormat{8, 0}.nar_pattern());
-  auto emac = make(fmt, kK);
-  std::vector<emac::DecodedOp> wd(kK), ad(kK);
-  emac->decode_plane(w.data(), kK, wd.data());
-  emac->decode_plane(a.data(), kK, ad.data());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(emac->dot(0, wd.data(), ad.data(), kK));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kK));
-}
-
-void BM_PositEmacFastDot(benchmark::State& state) {
-  run_dot_bench(state, num::Format{num::PositFormat{8, static_cast<int>(state.range(0))}},
-                [](const num::Format& f, std::size_t k) { return emac::make_emac(f, k); });
-}
-BENCHMARK(BM_PositEmacFastDot)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_FloatEmacDot(benchmark::State& state) {
-  run_dot_bench(state, num::Format{num::FloatFormat{4, 3}},
-                [](const num::Format& f, std::size_t k) { return emac::make_emac(f, k); });
-}
-BENCHMARK(BM_FloatEmacDot);
-
-void BM_FixedEmacDot(benchmark::State& state) {
-  run_dot_bench(state, num::Format{num::FixedFormat{8, 4}},
-                [](const num::Format& f, std::size_t k) { return emac::make_emac(f, k); });
-}
-BENCHMARK(BM_FixedEmacDot);
 
 void BM_PositEmacRtl(benchmark::State& state) {
   run_emac_bench(state, num::Format{num::PositFormat{8, static_cast<int>(state.range(0))}},

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "nn/deep_positron.hpp"
+#include "nn/quantize.hpp"
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
 #include "numeric/format.hpp"

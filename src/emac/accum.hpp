@@ -1,18 +1,18 @@
 #pragma once
-// Kulisch accumulator policies for the fused Emac::dot() row kernel.
+// Kulisch accumulator policies for the scalar-blocked matmul kernel.
 //
 // The EMAC contract only needs an exact two's-complement register wide
 // enough for k shifted significand products; eq. (3)/(4) bound that width
 // per format, and for most of the paper's sweep grid it is far below 256
-// bits (posit<8,0> with k=128 needs 46 bits). The fused path therefore
-// selects, once at unit construction, the narrowest machine register that
-// fits — int64_t, unsigned __int128, or the full Acc256 — and instantiates
-// the row kernel against that policy. All three policies produce the same
+// bits (posit<8,0> with k=128 needs 46 bits). make_kernel_spec therefore
+// selects, once per (format, k), the narrowest machine register that fits —
+// int64_t, unsigned __int128, or the full Acc256 — and the kernel is
+// instantiated against that policy. All three policies produce the same
 // integer sum and the same normalized (msb, top-64 fraction, sticky)
 // readout, so the rounded result is bit-identical across them and against
-// the step() path (enforced by tests/emac/dot_equivalence_test.cpp).
+// the step() units (enforced by tests/emac/dot_equivalence_test.cpp).
 //
-// Policy interface (duck-typed, consumed by the dot_impl templates):
+// Policy interface (duck-typed, consumed by the kernel templates):
 //   void add_product(std::int64_t prod, int shift);  // += prod << shift
 //   bool is_zero() const;
 //   void readout(num::Unpacked& u, std::int64_t frame) const;

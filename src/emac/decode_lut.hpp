@@ -2,15 +2,12 @@
 // Process-wide registry of immutable operand-decode lookup tables, shared by
 // every EMAC unit of the same format.
 //
-// Inference pushes millions of operands through the units, so each fused
-// EMAC fronts its decode with a 2^n-entry table of pre-decoded operands.
-// Before this registry each PositEmacFast instance rebuilt its own table,
-// which made Emac::clone() — the per-thread replication point of the batch
-// engine — cost 2^n decodes per worker thread per layer. Tables are pure
-// functions of the format, so they are built once, cached behind a
-// shared_ptr, and handed out to every unit (and to the engine's weight-plane
-// pre-decode). Entries are immutable after construction; concurrent readers
-// need no synchronization.
+// Inference pushes millions of operands through the units and kernels, so
+// each fronts its decode with a 2^n-entry table of pre-decoded operands.
+// Tables are pure functions of the format, so they are built once, cached
+// behind a shared_ptr, and handed out to every EMAC unit, every kernel's
+// activation packing and every weight-plane decode. Entries are immutable
+// after construction; concurrent readers need no synchronization.
 
 #include <cstdint>
 #include <memory>

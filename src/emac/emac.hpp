@@ -19,9 +19,8 @@ namespace dp::emac {
 
 /// A pre-decoded EMAC operand: the format-specific field extraction (posit
 /// regime/exponent/fraction, minifloat subnormal handling, fixed-point sign
-/// extension) done once, so the fused dot() path never touches the bit
-/// pattern again. The raw pattern rides along so the generic fallback (and
-/// any model without a fused path) can replay the step() loop unchanged.
+/// extension) done once, so the blocked matmul kernels (emac/kernel.hpp)
+/// never touch the bit pattern again. The raw pattern rides along.
 ///
 /// Field meaning per format family:
 ///  * posit — kind classifies zero/NaR; sf = {regime,exponent} scale factor,
@@ -42,8 +41,8 @@ struct DecodedOp {
   std::int32_t sf = 0;
   std::uint64_t sig = 0;   ///< magnitude significand (step()-path frame)
   /// Signed significand: (-1)^sign * sig, and 0 for zero/NaR operands — so
-  /// the fused kernels get the product sign from the multiply itself and
-  /// zero/NaR pairs contribute nothing without a branch.
+  /// the kernels get the product sign from the multiply itself and zero/NaR
+  /// pairs contribute nothing without a branch.
   std::int64_t ssig = 0;
 };
 
@@ -79,28 +78,14 @@ class Emac {
   /// Post-summation stage: round/normalize/clip to the output format.
   virtual std::uint32_t result() const = 0;
 
-  /// Decode `count` raw patterns into pre-decoded operands, ready for dot().
-  /// The default keeps only the raw bits (enough for the generic dot()
-  /// fallback); models with a fused path fill the decoded fields. Planes are
-  /// tied to the unit's format, never to its accumulator state, so a plane
-  /// decoded by one unit is valid for any unit of the same format.
+  /// Decode `count` raw patterns into pre-decoded operands, the input of
+  /// MatmulKernel::pack_plane. The default keeps only the raw bits; the
+  /// functional units fill the decoded fields. Planes are tied to the unit's
+  /// format, never to its accumulator state, so a plane decoded by one unit
+  /// is valid for any unit of the same format.
   virtual void decode_plane(const std::uint32_t* bits, std::size_t count,
                             DecodedOp* out) const {
     for (std::size_t i = 0; i < count; ++i) out[i].bits = bits[i];
-  }
-
-  /// Fused row-level MAC: bias + sum(weights[i] * activations[i]) over
-  /// `count` pre-decoded pairs, rounded once — the whole-neuron equivalent
-  /// of reset(bias); step()*count; result(). One virtual call per neuron
-  /// instead of one per MAC. Guaranteed bit-identical to the step() loop
-  /// (tests/emac/dot_equivalence_test.cpp). `count` must be <= max_terms().
-  /// The default replays the step() loop via the raw bits; fused models
-  /// override with a pre-decoded, narrow-accumulator kernel.
-  virtual std::uint32_t dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                            const DecodedOp* activations, std::size_t count) {
-    reset(bias_bits);
-    for (std::size_t i = 0; i < count; ++i) step(weights[i].bits, activations[i].bits);
-    return result();
   }
 
   virtual const num::Format& format() const = 0;

@@ -27,8 +27,6 @@ class FixedEmac final : public Emac {
 
   void decode_plane(const std::uint32_t* bits, std::size_t count,
                     DecodedOp* out) const override;
-  std::uint32_t dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                    const DecodedOp* activations, std::size_t count) override;
 
   const num::Format& format() const override { return format_; }
   std::size_t max_terms() const override { return k_; }

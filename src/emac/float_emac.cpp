@@ -15,7 +15,6 @@ FloatEmac::FloatEmac(const num::FloatFormat& fmt, std::size_t k)
                            static_cast<std::size_t>(std::bit_width(k)) + 1;
   if (need > 250) throw std::invalid_argument("FloatEmac: accumulator exceeds 250 bits");
   lut_ = shared_decode_lut(format_);
-  acc_kind_ = select_acc_kind(need);
 }
 
 void FloatEmac::accumulate_value(bool sign, std::uint64_t sig2, std::int32_t exp_sum) {
@@ -77,43 +76,6 @@ std::size_t FloatEmac::accumulator_width() const {
 void FloatEmac::decode_plane(const std::uint32_t* bits, std::size_t count,
                              DecodedOp* out) const {
   decode_plane_with(lut_.get(), format_, fmt_.mask(), bits, count, out);
-}
-
-template <typename Acc>
-std::uint32_t FloatEmac::dot_impl(std::uint32_t bias_bits, const DecodedOp* weights,
-                                  const DecodedOp* activations, std::size_t count) const {
-  Acc acc;
-  const num::FloatRawDecode b = num::float_decode_raw(bias_bits, fmt_);
-  if (b.sig != 0) {
-    acc.add_product(b.sign ? -static_cast<std::int64_t>(b.sig)
-                           : static_cast<std::int64_t>(b.sig),
-                    static_cast<int>(b.exp + fmt_.bias() + fmt_.wf - 2));
-  }
-  // Branch-free row: signed zeros carry ssig == 0 (and effective exponent 1,
-  // keeping the shift in range), so every pair is one multiply-shift-add.
-  for (std::size_t i = 0; i < count; ++i) {
-    const DecodedOp& w = weights[i];
-    const DecodedOp& a = activations[i];
-    acc.add_product(w.ssig * a.ssig, static_cast<int>(w.sf + a.sf - 2));
-  }
-  if (acc.is_zero()) return num::float_zero(fmt_);
-  num::Unpacked u;
-  acc.readout(u, 2 * fmt_.bias() + 2 * fmt_.wf - 2);
-  return num::float_encode(u, fmt_, num::FloatOverflow::kSaturate);
-}
-
-std::uint32_t FloatEmac::dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                             const DecodedOp* activations, std::size_t count) {
-  if (count > k_) throw std::logic_error("FloatEmac::dot: more than k terms");
-  switch (acc_kind_) {
-    case AccKind::kI64:
-      return dot_impl<AccKulisch64>(bias_bits, weights, activations, count);
-    case AccKind::kI128:
-      return dot_impl<AccKulisch128>(bias_bits, weights, activations, count);
-    case AccKind::kWide:
-      return dot_impl<AccKulischWide>(bias_bits, weights, activations, count);
-  }
-  throw std::logic_error("FloatEmac::dot: bad accumulator kind");
 }
 
 }  // namespace dp::emac

@@ -11,7 +11,6 @@
 // values").
 
 #include "emac/acc256.hpp"
-#include "emac/accum.hpp"
 #include "emac/decode_lut.hpp"
 #include "emac/emac.hpp"
 
@@ -32,28 +31,18 @@ class FloatEmac final : public Emac {
 
   void decode_plane(const std::uint32_t* bits, std::size_t count,
                     DecodedOp* out) const override;
-  std::uint32_t dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                    const DecodedOp* activations, std::size_t count) override;
 
   const num::Format& format() const override { return format_; }
   std::size_t max_terms() const override { return k_; }
   std::size_t accumulator_width() const override;
 
-  /// Kulisch register selected for the fused dot() path (see accum.hpp).
-  AccKind acc_kind() const { return acc_kind_; }
-
  private:
-  template <typename Acc>
-  std::uint32_t dot_impl(std::uint32_t bias_bits, const DecodedOp* weights,
-                         const DecodedOp* activations, std::size_t count) const;
-
   void accumulate_value(bool sign, std::uint64_t sig2, std::int32_t exp_sum);
 
   num::Format format_;
   num::FloatFormat fmt_;
   std::size_t k_;
   std::size_t steps_ = 0;
-  AccKind acc_kind_ = AccKind::kWide;
   Acc256 acc_;
   std::shared_ptr<const DecodeLut> lut_;  ///< shared, immutable; null iff n > 16
 };

@@ -17,14 +17,14 @@ namespace {
 
 /// DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") pins
 /// dispatch to the portable scalar-blocked kernel — the cross-check knob for
-/// CI's forced-fallback leg, mirroring DP_FORCE_STEP_PATH.
+/// CI's forced-fallback leg.
 bool scalar_kernel_forced() {
   const char* v = std::getenv("DP_FORCE_SCALAR_KERNEL");
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
 /// The generic reduction of one finished lane: the same is_zero/readout/
-/// encode sequence as the fused dot_impl paths, so the rounded pattern is
+/// encode sequence as the step() units' result(), so the rounded pattern is
 /// bit-identical by construction. Posit and float only; make_kernel_spec
 /// gives fixed formats the inline kFixed readout and caps them at 128 bits.
 template <typename Acc>
@@ -67,7 +67,7 @@ std::uint32_t readout_lane(const KernelSpec& spec, const AccKulischWide& acc, un
 }
 
 /// The portable register-blocked kernel: an 8-sample tile, one accum.hpp
-/// policy value per lane, the exact dot_impl recurrence per lane. Works for
+/// policy value per lane, the exact step() recurrence per lane. Works for
 /// all three register widths (the AVX2 kernel only covers the int64 case).
 template <typename Acc>
 class ScalarBlockedKernel final : public MatmulKernel {
@@ -202,7 +202,7 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   }
   out.table = num::shared_encode_table(fmt);
   if (out.table != nullptr) out.readout = KernelSpec::Readout::kTable;
-  if (out.need_bits > 250) return false;  // same ceiling as the fused units
+  if (out.need_bits > 250) return false;  // same ceiling as the step() units
   out.acc_kind = select_acc_kind(out.need_bits);
   if (out.acc_kind == AccKind::kI64) {
     out.limbs = 1;
@@ -275,8 +275,8 @@ PackedPlane MatmulKernel::pack_plane(const DecodedOp* weights, std::size_t rows,
       p.shift[r * p.k + i] = d.sf + spec_.sf_bias;
     }
     p.row_kinds[r] = static_cast<std::uint8_t>(kinds);
-    // Resolve the bias to its accumulator image once, exactly as the fused
-    // dot_impl bias paths do per call.
+    // Resolve the bias to its accumulator image once, exactly as the step()
+    // units' reset() does per neuron.
     switch (spec_.fmt.kind()) {
       case num::Kind::kPosit: {
         const num::PositFormat& f = spec_.fmt.posit();

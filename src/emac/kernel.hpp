@@ -1,13 +1,12 @@
 #pragma once
-// Register-blocked multi-sample EMAC matmul kernels — the batched counterpart
-// of the fused Emac::dot() row path.
+// Register-blocked multi-sample EMAC matmul kernels — the matvec every
+// runtime::Model layer runs, one row or a whole tile at a time.
 //
-// dot() streams one activation vector against a weight plane: every sample
-// re-reads the whole plane. A MatmulKernel instead processes a TILE of
-// samples per weight-plane pass — per weight row it keeps one exact
-// accumulator per sample lane in registers, so each weight element is loaded
-// once and multiplied into every lane before moving on. The arithmetic is
-// the same integer shift-and-add recurrence as dot():
+// A MatmulKernel processes a TILE of samples per weight-plane pass — per
+// weight row it keeps one exact accumulator per sample lane in registers, so
+// each weight element is loaded once and multiplied into every lane before
+// moving on. Each lane runs the integer shift-and-add form of the paper's
+// EMAC recurrence (Emac::reset/step/result):
 //
 //     acc[s] += ssig_w * ssig_a[s]  <<  (sf_w + sf_a[s] + sf_bias)
 //
@@ -25,10 +24,9 @@
 // one sticky bit, and the table holds the encoder's own output for every
 // such cell (numeric/encode_table.hpp), so a table load returns the pattern
 // the encoder would. Wider formats call the encoders, fixed formats shift
-// and clip. The kernel output is therefore bit-identical to both
-// Emac::dot() and the legacy step() recurrence for every input
-// (tests/emac/kernel_differential_test.cpp; the lane readout itself in
-// tests/emac/kernel_bound_test.cpp).
+// and clip. The kernel output is therefore bit-identical to the step()
+// recurrence for every input (tests/emac/kernel_differential_test.cpp; the
+// lane readout itself in tests/emac/kernel_bound_test.cpp).
 //
 // Three kernels sit behind MatmulKernel::create(), the first two one AVX2
 // class templated on its limb count:
@@ -51,7 +49,7 @@
 //    accumulators are plain accum.hpp policy values (all three widths).
 // DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") forces the
 // portable kernel regardless of CPU support — the no-rebuild cross-check
-// knob, mirroring DP_FORCE_STEP_PATH.
+// knob CI's forced-scalar leg sets.
 
 #include <bit>
 #include <cstddef>
@@ -72,8 +70,8 @@ namespace dp::emac {
 inline constexpr std::size_t kMaxKernelTile = 16;
 
 /// Everything the inner loops and the final readout need, precomputed once
-/// per (format, k) at kernel creation. The shift constants mirror the fused
-/// dot() frames exactly:
+/// per (format, k) at kernel creation. The shift constants mirror the
+/// step() units' accumulator frames exactly:
 ///  * posit — sf_bias = 2S, frame = 2S + 2(P-1), bias shift = sf + 2S + P-1.
 ///  * float — sf_bias = -2, frame = 2*bias + 2*wf - 2, bias shift =
 ///    exp + bias + wf - 2; zero patterns decode with sf == 1 (zero_sf), which
@@ -156,11 +154,12 @@ class MatmulKernel {
   /// via DP_FORCE_SCALAR_KERNEL, and the bound fits one or two int64 limbs
   /// (KernelSpec::limbs); the portable scalar-blocked kernel otherwise.
   /// Returns nullptr when no kernel supports the combination (bound beyond
-  /// 250 bits, zero k): callers fall back to the per-sample dot() path.
+  /// 250 bits, zero k): runtime::Model runs such a layer on the step()
+  /// recurrence instead.
   static std::unique_ptr<MatmulKernel> create(const num::Format& fmt, std::size_t k);
 
   /// The portable scalar-blocked kernel, unconditionally — the differential
-  /// suite drives it against create() and the dot()/step() oracles.
+  /// suite drives it against create() and the step() oracle.
   static std::unique_ptr<MatmulKernel> create_scalar(const num::Format& fmt,
                                                      std::size_t k);
 
@@ -186,7 +185,7 @@ class MatmulKernel {
   /// out[r*acts.tile + s] = encoded dot of weight row r with sample s, for
   /// every r < weights.rows and s < samples. samples must be <=
   /// min(acts.tile, kMaxKernelTile). Lanes >= samples of `out` are left
-  /// untouched. Bit-identical to dot()/step() per the header contract.
+  /// untouched. Bit-identical to step() per the header contract.
   virtual void matmul(const PackedPlane& weights, const ActTile& acts,
                       std::size_t samples, std::uint32_t* out) const = 0;
 
@@ -222,7 +221,7 @@ std::uint32_t readout_lane_fixed(const KernelSpec& spec, Reg acc) {
 }  // namespace detail
 
 /// Final exact reduction of one finished lane, shared by every kernel: the
-/// pattern the fused dot() path produces for the same register (the
+/// pattern the step() units produce for the same register (the
 /// AccKulisch64 readout plus the format's encoder, or the FixedEmac shift
 /// and clip). `kinds` is the OR of the lane's operand kinds.
 inline std::uint32_t readout_kernel_lane(const KernelSpec& spec, std::int64_t acc,

@@ -102,13 +102,6 @@ PositEmacFast::PositEmacFast(const num::PositFormat& fmt, std::size_t k)
   // clone() and sibling units reuse the same immutable table (n <= 16 keeps
   // it small; wider formats decode per operand).
   lut_ = shared_decode_lut(format_);
-  // Narrowest Kulisch register covering the eq. (4)-style bound for the
-  // fused dot() path (the step() path keeps the 256-bit register so its
-  // state layout is unchanged).
-  const std::size_t need =
-      4 * static_cast<std::size_t>(s_) + 2 * static_cast<std::size_t>(p_) +
-      static_cast<std::size_t>(std::bit_width(k)) + 2;
-  acc_kind_ = select_acc_kind(need);
 }
 
 void PositEmacFast::accumulate(bool sign, std::uint64_t sig, std::int64_t shift) {
@@ -185,56 +178,6 @@ std::size_t PositEmacFast::accumulator_width() const { return quire_width_eq4(fm
 void PositEmacFast::decode_plane(const std::uint32_t* bits, std::size_t count,
                                  DecodedOp* out) const {
   decode_plane_with(lut_.get(), format_, fmt_.mask(), bits, count, out);
-}
-
-template <typename Acc>
-std::uint32_t PositEmacFast::dot_impl(std::uint32_t bias_bits, const DecodedOp* weights,
-                                      const DecodedOp* activations,
-                                      std::size_t count) const {
-  // NaR is sticky in the step() recurrence and result() then ignores the
-  // accumulator entirely, so returning the moment one shows up is
-  // bit-identical to finishing the loop.
-  if ((bias_bits & fmt_.mask()) == fmt_.nar_pattern()) return fmt_.nar_pattern();
-  Acc acc;
-  num::PositRawDecode b;
-  if (num::posit_decode_raw(bias_bits, fmt_, b)) {
-    acc.add_product(b.sign ? -static_cast<std::int64_t>(b.sig)
-                           : static_cast<std::int64_t>(b.sig),
-                    static_cast<int>(b.sf + 2 * s_ + p_ - 1));
-  }
-  // Branch-free row: zero/NaR operands carry ssig == 0, so their pair
-  // contributes nothing to the register; NaR-ness is OR-accumulated through
-  // the kind bits and resolved once after the loop (NaR is sticky in the
-  // step() recurrence and overrides the accumulator, so this is
-  // bit-identical). The shift of a degenerate pair still lands inside the
-  // selected register: |sf| <= S for every entry, zero/NaR entries read 0.
-  const std::int32_t sf_bias = static_cast<std::int32_t>(2 * s_);
-  unsigned kinds = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const DecodedOp& w = weights[i];
-    const DecodedOp& a = activations[i];
-    kinds |= static_cast<unsigned>(w.kind) | static_cast<unsigned>(a.kind);
-    acc.add_product(w.ssig * a.ssig, static_cast<int>(w.sf + a.sf + sf_bias));
-  }
-  if (kinds & DecodedOp::kNaR) return fmt_.nar_pattern();
-  if (acc.is_zero()) return fmt_.zero_pattern();
-  num::Unpacked u;
-  acc.readout(u, 2 * s_ + 2 * (p_ - 1));
-  return num::posit_encode(u, fmt_);
-}
-
-std::uint32_t PositEmacFast::dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                                 const DecodedOp* activations, std::size_t count) {
-  if (count > k_) throw std::logic_error("PositEmacFast::dot: more than k terms");
-  switch (acc_kind_) {
-    case AccKind::kI64:
-      return dot_impl<AccKulisch64>(bias_bits, weights, activations, count);
-    case AccKind::kI128:
-      return dot_impl<AccKulisch128>(bias_bits, weights, activations, count);
-    case AccKind::kWide:
-      return dot_impl<AccKulischWide>(bias_bits, weights, activations, count);
-  }
-  throw std::logic_error("PositEmacFast::dot: bad accumulator kind");
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@
 // posit encoding happen once at readout.
 //
 // Two models are provided:
-//  * PositEmacFast — functional model on a 256-bit accumulator; used by the
-//    inference engine.
+//  * PositEmacFast — functional model on a 256-bit accumulator; the oracle
+//    the inference kernels are checked against, and the source of their
+//    pre-decoded weight planes.
 //  * PositEmacRtl  — structural model on dp::rtl::Bits that transcribes
 //    Algorithm 1 (LZD over the conditionally inverted two's complement,
 //    regime-check bit, fused {regime,exponent} scale factor) and operates a
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "emac/acc256.hpp"
-#include "emac/accum.hpp"
 #include "emac/decode_lut.hpp"
 #include "emac/emac.hpp"
 #include "rtl/bits.hpp"
@@ -66,23 +66,12 @@ class PositEmacFast final : public Emac {
 
   void decode_plane(const std::uint32_t* bits, std::size_t count,
                     DecodedOp* out) const override;
-  std::uint32_t dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                    const DecodedOp* activations, std::size_t count) override;
 
   const num::Format& format() const override { return format_; }
   std::size_t max_terms() const override { return k_; }
   std::size_t accumulator_width() const override;
 
-  /// Which Kulisch register the fused dot() path selected for this
-  /// (format, k): the narrowest of int64 / __int128 / Acc256 that fits the
-  /// eq. (4)-style bound. Exposed for tests and the performance docs.
-  AccKind acc_kind() const { return acc_kind_; }
-
  private:
-  template <typename Acc>
-  std::uint32_t dot_impl(std::uint32_t bias_bits, const DecodedOp* weights,
-                         const DecodedOp* activations, std::size_t count) const;
-
   void accumulate(bool sign, std::uint64_t sig, std::int64_t shift);
 
   num::Format format_;
@@ -91,7 +80,6 @@ class PositEmacFast final : public Emac {
   std::size_t steps_ = 0;
   int p_ = 0;           ///< significand register width n-2-es
   std::int64_t s_ = 0;  ///< max |scale factor| = (n-2)*2^es
-  AccKind acc_kind_ = AccKind::kWide;
   bool nar_ = false;
   Acc256 acc_;
   std::shared_ptr<const DecodeLut> lut_;  ///< shared, immutable; null iff n > 16

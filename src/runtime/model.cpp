@@ -1,7 +1,6 @@
 #include "runtime/model.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -12,42 +11,11 @@
 
 namespace dp::runtime {
 
-namespace {
-
-/// DP_FORCE_STEP_PATH=1 (any value other than unset/empty/"0") forces every
-/// model onto the legacy per-MAC step() path — the no-rebuild cross-check
-/// knob documented in docs/reproducing.md.
-bool step_path_forced() {
-  const char* v = std::getenv("DP_FORCE_STEP_PATH");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-}  // namespace
-
-Scratch::Scratch(const nn::QuantizedNetwork& net) {
-  emacs_.reserve(net.layers.size());
-  std::size_t widest = net.input_dim();
-  std::size_t widest_in = net.input_dim();
-  for (std::size_t li = 0; li < net.layers.size(); ++li) {
-    const nn::QuantizedLayer& layer = net.layers[li];
-    emacs_.push_back(emac::make_emac(net.layer_format(li), layer.fan_in));
-    widest = std::max(widest, layer.fan_out);
-    widest_in = std::max(widest_in, layer.fan_in);
-  }
-  act_.reserve(widest);
-  next_.reserve(widest);
-  act_dec_.reserve(widest_in);
-}
-
-Model::Model(nn::QuantizedNetwork network, ForwardPath path)
-    : net_(std::move(network)), path_(step_path_forced() ? ForwardPath::kStep : path) {
+Model::Model(nn::QuantizedNetwork network) : net_(std::move(network)) {
   if (net_.layers.empty()) throw std::invalid_argument("runtime::Model: empty network");
   // A malformed per-layer format table must fail here, before any of it is
   // trusted to size an accumulator or pick a kernel.
   nn::validate_layer_formats(net_);
-  // Fails fast on unsupported format/fan-in combinations and provides the
-  // units that decode the weight planes below.
-  Scratch probe(net_);
   convert_tables_.resize(net_.layers.size());
   for (std::size_t li = 1; li < net_.layers.size(); ++li) {
     const num::Format& prev = net_.layer_format(li - 1);
@@ -55,62 +23,39 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
       convert_tables_[li] = num::convert_table(prev, net_.layer_format(li));
     }
   }
-  if (path_ == ForwardPath::kFused) {
-    weight_planes_.resize(net_.layers.size());
-    for (std::size_t li = 0; li < net_.layers.size(); ++li) {
-      const nn::QuantizedLayer& layer = net_.layers[li];
-      weight_planes_[li].resize(layer.weights.size());
-      probe.emacs_[li]->decode_plane(layer.weights.data(), layer.weights.size(),
-                                     weight_planes_[li].data());
-    }
-    // Blocked multi-sample kernels: all-or-nothing so forward_tile_into
-    // never mixes kernel and per-sample layers. Dispatch (AVX2 vs portable,
-    // DP_FORCE_SCALAR_KERNEL) — and with it the accumulator width — is
-    // resolved here PER LAYER, against each layer's own format: in a mixed
-    // model one layer may take the one-limb AVX2 kernel while a wider-quire
-    // neighbour takes the two-limb or the scalar-blocked one (kernel_name()
-    // then reports "mixed").
-    kernels_.reserve(net_.layers.size());
-    bool blocked = true;
-    for (std::size_t li = 0; li < net_.layers.size() && blocked; ++li) {
-      auto kern =
-          emac::MatmulKernel::create(net_.layer_format(li), net_.layers[li].fan_in);
-      if (kern == nullptr) {
-        blocked = false;
-        break;
-      }
-      kernels_.push_back(std::move(kern));
-    }
-    if (blocked) {
-      input_table_ = num::shared_encode_table(net_.input_format());
-      tile_ = kernels_.front()->tile();
-      packed_planes_.reserve(net_.layers.size());
-      for (std::size_t li = 0; li < net_.layers.size(); ++li) {
-        const nn::QuantizedLayer& layer = net_.layers[li];
-        tile_ = std::min(tile_, kernels_[li]->tile());
-        packed_planes_.push_back(kernels_[li]->pack_plane(
-            weight_planes_[li].data(), layer.fan_out, layer.bias.data()));
-      }
-    } else {
-      kernels_.clear();
-      tile_ = 1;
-    }
+  input_table_ = num::shared_encode_table(net_.input_format());
+  // Dispatch (AVX2 vs portable, DP_FORCE_SCALAR_KERNEL) — and with it the
+  // accumulator width — is resolved per layer against the layer's own
+  // format, so one layer may take the one-limb AVX2 kernel while a
+  // wider-quire neighbour takes the two-limb, the scalar-blocked kernel or
+  // the step fallback (kernel_name() then reports "mixed").
+  kernels_.resize(net_.layers.size());
+  packed_planes_.resize(net_.layers.size());
+  std::size_t tile = emac::kMaxKernelTile;
+  bool any_kernel = false;
+  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
+    const nn::QuantizedLayer& layer = net_.layers[li];
+    const num::Format& fmt = net_.layer_format(li);
+    // Building the unit fails fast on an unsupported format/fan-in; it also
+    // decodes the plane, which lives only until the kernel has packed it.
+    const std::unique_ptr<emac::Emac> unit = emac::make_emac(fmt, layer.fan_in);
+    kernels_[li] = emac::MatmulKernel::create(fmt, layer.fan_in);
+    if (kernels_[li] == nullptr) continue;
+    std::vector<emac::DecodedOp> plane(layer.weights.size());
+    unit->decode_plane(layer.weights.data(), plane.size(), plane.data());
+    packed_planes_[li] = kernels_[li]->pack_plane(plane.data(), layer.fan_out, layer.bias.data());
+    tile = std::min(tile, kernels_[li]->tile());
+    any_kernel = true;
   }
+  tile_ = any_kernel ? tile : 1;
 }
 
-std::shared_ptr<const Model> Model::create(nn::QuantizedNetwork network, ForwardPath path) {
-  return std::make_shared<const Model>(std::move(network), path);
+std::shared_ptr<const Model> Model::create(nn::QuantizedNetwork network) {
+  return std::make_shared<const Model>(std::move(network));
 }
 
-std::shared_ptr<const Model> Model::load(const std::string& path, ForwardPath forward) {
-  return create(nn::load_quantized(path), forward);
-}
-
-Scratch Model::make_scratch() const {
-  // Fresh units carry only immutable configuration (the decode tables come
-  // from the process-wide shared registry, so construction is cheap), never
-  // accumulator or buffer state.
-  return Scratch(net_);
+std::shared_ptr<const Model> Model::load(const std::string& path) {
+  return create(nn::load_quantized(path));
 }
 
 std::uint32_t Model::relu(std::uint32_t bits, const num::Format& fmt) {
@@ -142,60 +87,6 @@ std::uint32_t Model::to_layer_format(std::size_t li, std::uint32_t bits) const {
   return num::convert(bits, net_.layer_format(li - 1), net_.layer_format(li));
 }
 
-void Model::forward_into(std::span<const double> x, Scratch& scratch) const {
-  if (x.size() != net_.input_dim()) {
-    throw std::invalid_argument("runtime::Model::forward_into: bad input size");
-  }
-  std::vector<std::uint32_t>& act = scratch.act_;
-  std::vector<std::uint32_t>& next = scratch.next_;
-  act.clear();
-  for (const double v : x) act.push_back(net_.input_format().from_double(v));
-
-  const bool fused = path_ == ForwardPath::kFused;
-  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
-    const nn::QuantizedLayer& layer = net_.layers[li];
-    const num::Format& fmt = net_.layer_format(li);
-    // Activations produced upstream carry the previous layer's format; at a
-    // mixed boundary re-encode them into this layer's before they feed the
-    // layer's EMACs.
-    if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
-      for (std::uint32_t& a : act) a = to_layer_format(li, a);
-    }
-    emac::Emac& unit = *scratch.emacs_[li];
-    next.assign(layer.fan_out, 0);
-    if (fused) {
-      // Decode this layer's activation vector once for all fan_out neurons;
-      // the static weights were decoded once at model construction.
-      std::vector<emac::DecodedOp>& adec = scratch.act_dec_;
-      adec.resize(layer.fan_in);
-      unit.decode_plane(act.data(), layer.fan_in, adec.data());
-      const emac::DecodedOp* wplane = weight_planes_[li].data();
-      for (std::size_t j = 0; j < layer.fan_out; ++j) {
-        std::uint32_t out =
-            unit.dot(layer.bias[j], wplane + j * layer.fan_in, adec.data(), layer.fan_in);
-        if (layer.activation == nn::Activation::kReLU) out = relu(out, fmt);
-        next[j] = out;
-      }
-    } else {
-      for (std::size_t j = 0; j < layer.fan_out; ++j) {
-        unit.reset(layer.bias[j]);
-        const std::uint32_t* wrow = layer.weights.data() + j * layer.fan_in;
-        for (std::size_t i = 0; i < layer.fan_in; ++i) {
-          unit.step(wrow[i], act[i]);
-        }
-        std::uint32_t out = unit.result();
-        if (layer.activation == nn::Activation::kReLU) out = relu(out, fmt);
-        next[j] = out;
-      }
-    }
-    act.swap(next);
-  }
-}
-
-int Model::readout_argmax(const Scratch& scratch) const {
-  return argmax_bits(scratch.activations());
-}
-
 int Model::argmax_bits(std::span<const std::uint32_t> bits) const {
   const num::Format& fmt = net_.output_format();
   int best = 0;
@@ -211,32 +102,34 @@ int Model::argmax_bits(std::span<const std::uint32_t> bits) const {
 }
 
 const char* Model::kernel_name() const {
-  if (kernels_.empty()) return "none";
-  const char* name = kernels_.front()->name();
+  const auto layer_name = [](const std::unique_ptr<emac::MatmulKernel>& kern) {
+    return kern != nullptr ? kern->name() : "step";
+  };
+  const char* name = layer_name(kernels_.front());
   for (const auto& kern : kernels_) {
-    if (std::strcmp(kern->name(), name) != 0) return "mixed";
+    if (std::strcmp(layer_name(kern), name) != 0) return "mixed";
   }
   return name;
 }
 
 Model::TileScratch Model::make_tile_scratch() const {
   TileScratch ts;
-  if (!kernels_.empty()) {
-    std::size_t widest = net_.input_dim();
-    for (const nn::QuantizedLayer& layer : net_.layers) {
-      widest = std::max(widest, layer.fan_out);
+  std::size_t widest = net_.input_dim();
+  ts.emacs_.resize(net_.layers.size());
+  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
+    const nn::QuantizedLayer& layer = net_.layers[li];
+    widest = std::max(widest, layer.fan_out);
+    if (kernels_[li] == nullptr) {
+      ts.emacs_[li] = emac::make_emac(net_.layer_format(li), layer.fan_in);
     }
-    ts.bits_.reserve(widest * tile_);
-    ts.next_.reserve(widest * tile_);
   }
+  ts.bits_.reserve(widest * tile_);
+  ts.next_.reserve(widest * tile_);
   return ts;
 }
 
 void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
                               TileScratch& scratch, std::uint32_t* out) const {
-  if (kernels_.empty()) {
-    throw std::logic_error("runtime::Model::forward_tile_into: no blocked path");
-  }
   if (nrows == 0 || nrows > tile_ || row0 + nrows > xs.rows()) {
     throw std::invalid_argument("runtime::Model::forward_tile_into: bad tile range");
   }
@@ -248,9 +141,9 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
   std::vector<std::uint32_t>& next = scratch.next_;
   // Quantize the tile straight into the lane-interleaved layout the kernels
   // consume: element i of sample s at [i*tile + s]. Pad lanes stay zero
-  // (never read: pack_acts and the output copy only touch s < nrows).
-  // Posit and float inputs of <= 8 bits round through the shared encode
-  // table, bit-identical to Format::from_double (the single-row path).
+  // (never read: pack_acts, the step fallback and the output copy only
+  // touch s < nrows). Posit and float inputs of <= 8 bits round through the
+  // shared encode table, bit-identical to Format::from_double.
   const std::size_t in_dim = net_.input_dim();
   bits.assign(in_dim * tile, 0);
   for (std::size_t s = 0; s < nrows; ++s) {
@@ -264,7 +157,7 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
     const nn::QuantizedLayer& layer = net_.layers[li];
     const num::Format& fmt = net_.layer_format(li);
     // Mixed boundary: re-encode the live lanes only — pad lanes are zero and
-    // never read (pack_acts and the output copy stop at s < nrows).
+    // never read.
     if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
       for (std::size_t i = 0; i < layer.fan_in; ++i) {
         for (std::size_t s = 0; s < nrows; ++s) {
@@ -272,10 +165,23 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
         }
       }
     }
-    const emac::MatmulKernel& kern = *kernels_[li];
-    kern.pack_acts(bits.data(), layer.fan_in, nrows, tile, scratch.acts_);
     next.resize(layer.fan_out * tile);
-    kern.matmul(packed_planes_[li], scratch.acts_, nrows, next.data());
+    if (kernels_[li] != nullptr) {
+      const emac::MatmulKernel& kern = *kernels_[li];
+      kern.pack_acts(bits.data(), layer.fan_in, nrows, tile, scratch.acts_);
+      kern.matmul(packed_planes_[li], scratch.acts_, nrows, next.data());
+    } else {
+      // Step fallback: the paper's EMAC recurrence, one live lane at a time.
+      emac::Emac& unit = *scratch.emacs_[li];
+      for (std::size_t j = 0; j < layer.fan_out; ++j) {
+        const std::uint32_t* wrow = layer.weights.data() + j * layer.fan_in;
+        for (std::size_t s = 0; s < nrows; ++s) {
+          unit.reset(layer.bias[j]);
+          for (std::size_t i = 0; i < layer.fan_in; ++i) unit.step(wrow[i], bits[i * tile + s]);
+          next[j * tile + s] = unit.result();
+        }
+      }
+    }
     if (layer.activation == nn::Activation::kReLU) {
       for (std::size_t j = 0; j < layer.fan_out; ++j) {
         std::uint32_t* lane = next.data() + j * tile;

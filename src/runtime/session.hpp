@@ -2,10 +2,12 @@
 // runtime::Session — the per-client, mutable half of the inference API.
 //
 // A Session binds one shared immutable Model to everything a single caller
-// needs to run inference at serving rates: one Scratch per worker-pool slot
-// (so no path ever locks or allocates per sample) and a persistent WorkerPool
-// whose threads are created once, at Session construction, and only woken per
-// batch submit.
+// needs to run inference at serving rates: one TileScratch per worker-pool
+// slot (so no path ever locks or allocates per sample) and a persistent
+// WorkerPool whose threads are created once, at Session construction, and
+// only woken per batch submit. Every entry point runs
+// Model::forward_tile_into: a batch as preferred_tile()-row tiles over the
+// pool, a single row as a one-row tile on the calling thread.
 //
 // Thread-safety contract:
 //  * Model is immutable — share one freely across Sessions and threads.
@@ -37,15 +39,9 @@ struct SessionOptions {
   /// Share an externally owned pool instead of spawning a private one.
   /// WorkerPool is multi-client, so any number of Sessions (e.g. every
   /// dispatcher of every per-shard serve::DynamicBatcher) may point at one
-  /// pool sized to the machine — the Session allocates one Scratch per pool
-  /// slot either way.
+  /// pool sized to the machine — the Session allocates one TileScratch per
+  /// pool slot either way.
   std::shared_ptr<WorkerPool> pool{};
-  /// Drive multi-row batches through the Model's register-blocked
-  /// multi-sample kernels when the model has them (bit-identical to the
-  /// per-sample path for every batch shape and pool size —
-  /// tests/runtime/blocked_session_test.cpp). Disable to pin this Session to
-  /// the per-sample fused matvec (the benchmark baseline).
-  bool allow_blocked = true;
 };
 
 class Session {
@@ -58,19 +54,16 @@ class Session {
   /// Actual pool concurrency (spawned workers + the submitting thread).
   std::size_t num_threads() const { return pool_->slots(); }
 
-  /// The kernel's ideal samples-per-pass for this Session: the model's
-  /// preferred tile when the blocked path is active, 1 otherwise. Serving
-  /// front-ends (serve::DynamicBatcher) align size-triggered flushes to a
-  /// multiple of this so every full tile of a micro-batch rides one
+  /// The kernel's ideal samples-per-pass: the model's preferred tile.
+  /// Serving front-ends (serve::DynamicBatcher) align size-triggered flushes
+  /// to a multiple of this so every full tile of a micro-batch rides one
   /// weight-plane pass.
-  std::size_t preferred_batch_multiple() const {
-    return blocked_ ? model_->preferred_tile() : 1;
-  }
+  std::size_t preferred_batch_multiple() const { return model_->preferred_tile(); }
 
   // --- Single-sample entry points (zero-copy in and out) -------------------
-  // `x` is any contiguous double buffer of input_dim() values. The returned
-  // spans view Session-owned state, valid until the next call on this
-  // Session; copy them out to keep them.
+  // `x` is any contiguous double buffer of input_dim() values (else
+  // std::invalid_argument). The returned spans view Session-owned state,
+  // valid until the next call on this Session; copy them out to keep them.
 
   /// Readout activations as network-format bit patterns.
   std::span<const std::uint32_t> forward_bits(std::span<const double> x);
@@ -82,10 +75,11 @@ class Session {
   int predict(std::span<const double> x);
 
   // --- Batched entry points (contiguous row-major in, flat row-major out) --
-  // Rows are partitioned over the persistent pool; results are bit-identical
-  // for every pool size (rows are independent and each is computed by the
-  // same deterministic EMAC recurrence). Throws std::invalid_argument if
-  // xs.row_width() != input_dim() (non-empty batches).
+  // Tiles of rows are partitioned over the persistent pool; results are
+  // bit-identical for every pool size and batch shape (rows are independent
+  // and each equals the EMAC step recurrence run on it alone). Throws
+  // std::invalid_argument if xs.row_width() != input_dim() (non-empty
+  // batches).
 
   BatchResult<std::uint32_t> forward_bits(BatchView xs);
   BatchResult<double> forward(BatchView xs);
@@ -105,15 +99,17 @@ class Session {
 
  private:
   void check_view(const BatchView& xs) const;
+  /// One row through the model on the calling thread into bits_.
+  void forward_row(std::span<const double> x);
 
   std::shared_ptr<const Model> model_;
-  std::vector<Scratch> scratch_;  // one per pool slot; [0] also serves the
-                                  // single-sample calls (slot 0 is the
-                                  // submitting thread in both roles)
-  std::vector<double> scores_;    // single-sample decoded readout buffer
   std::shared_ptr<WorkerPool> pool_;  // private by default; shared via options
-  bool blocked_ = false;              // multi-row batches use the blocked kernels
-  std::vector<Model::TileScratch> tile_scratch_;  // one per pool slot
+  std::vector<Model::TileScratch> scratch_;  // one per pool slot; [0] also
+                                             // serves the single-sample calls
+                                             // (slot 0 is the submitting
+                                             // thread in both roles)
+  std::vector<std::uint32_t> bits_;  // single-sample readout patterns
+  std::vector<double> scores_;       // single-sample decoded readout
 };
 
 }  // namespace dp::runtime

@@ -139,7 +139,7 @@ void DynamicBatcher::wait_samples(std::vector<double>& out) const {
 }
 
 void DynamicBatcher::dispatcher_main(std::size_t index) {
-  // Each dispatcher owns a private Session: per-slot Scratch state is never
+  // Each dispatcher owns a private Session: per-slot TileScratch state is never
   // shared across dispatchers, and the Model is immutable, so concurrent
   // micro-batches need no locking past the carve. Spreading an index over
   // nothing: every Session is identical; the index only names the thread.

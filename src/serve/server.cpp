@@ -1077,7 +1077,7 @@ std::vector<double> Client::forward(std::span<const double> x) {
 int Client::predict(std::span<const double> x) {
   const Reply reply = forward_bits(x);
   if (!reply.ok() || reply.bits.empty()) return -1;
-  // Same recurrence as runtime::Model::readout_argmax: first strictly
+  // Same recurrence as runtime::Model::argmax_bits: first strictly
   // greatest decoded score wins, so served predictions match Session ones.
   int best = 0;
   double best_score = model_->output_format().to_double(reply.bits[0]);

@@ -18,7 +18,9 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/model.hpp"
+#include "runtime/session.hpp"
 #include "serve/registry.hpp"
+#include "step_oracle.hpp"
 
 namespace dp::codec {
 namespace {
@@ -143,7 +145,7 @@ TEST(DpnetzContainer, CompressedArtifactIsSmallerThanText) {
 
 TEST(DpnetzContainer, RuntimeModelLoadsCompressedArtifactsTransparently) {
   // quantize -> save compressed -> Model::load, then check the loaded model
-  // infers bit-identically to one built in process.
+  // infers bit-identically to the step oracle over the in-process network.
   const nn::Mlp net = random_net(31);
   const num::Format fmt{num::PositFormat{8, 1}};
   const nn::QuantizedNetwork q = nn::quantize(net, fmt);
@@ -151,20 +153,14 @@ TEST(DpnetzContainer, RuntimeModelLoadsCompressedArtifactsTransparently) {
   nn::save_quantized_compressed(path, q);
 
   const std::shared_ptr<const runtime::Model> shipped = runtime::Model::load(path);
-  const runtime::Model direct(q);
   ASSERT_TRUE(shipped->format() == fmt);
-  runtime::Scratch s1 = shipped->make_scratch();
-  runtime::Scratch s2 = direct.make_scratch();
+  runtime::Session session(shipped);
   std::mt19937 rng(5);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
   for (int i = 0; i < 50; ++i) {
     const std::vector<double> x{u(rng), u(rng), u(rng), u(rng), u(rng)};
-    shipped->forward_into(x, s1);
-    direct.forward_into(x, s2);
-    const auto a = s1.activations();
-    const auto b = s2.activations();
-    ASSERT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
-              std::vector<std::uint32_t>(b.begin(), b.end()));
+    const auto got = session.forward_bits(x);
+    ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), testing::step_forward(q, x));
   }
 }
 

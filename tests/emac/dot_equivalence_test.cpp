@@ -1,9 +1,11 @@
-// Property test for the fused row-level path: Emac::dot() over a pre-decoded
-// plane must be bit-identical to the reset/step*k/result recurrence for every
-// format in the paper's sweep grid, under fully random operands (including
-// NaR, zero, Inf/NaN patterns where the format has them) and adversarial
-// rows (saturating magnitudes, heavy cancellation, all-zero, all-NaR).
-// Also pins the narrow-accumulator selection and the shared-LUT registry.
+// Property test for one dot product as runtime::Model runs a single row: the
+// dispatched MatmulKernel over a one-row plane and a one-sample tile must be
+// bit-identical to the reset/step*k/result recurrence for
+// every format in the paper's sweep grid, under fully random operands
+// (including NaR, zero, Inf/NaN patterns where the format has them) and
+// adversarial rows (saturating magnitudes, heavy cancellation, all-zero,
+// all-NaR). Also pins the narrow-accumulator selection, the step fallback
+// for formats no kernel covers, and the shared-LUT registry.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +14,9 @@
 
 #include "emac/decode_lut.hpp"
 #include "emac/emac.hpp"
-#include "emac/fixed_emac.hpp"
-#include "emac/float_emac.hpp"
+#include "emac/kernel.hpp"
 #include "emac/posit_emac.hpp"
+#include "emac_oracle.hpp"
 #include "numeric/format.hpp"
 
 namespace dp::emac {
@@ -32,12 +34,24 @@ std::uint32_t run_step_loop(Emac& e, std::uint32_t bias, const std::vector<std::
   return e.result();
 }
 
-std::uint32_t run_dot(Emac& e, std::uint32_t bias, const std::vector<std::uint32_t>& w,
+/// One neuron through the kernel the way Model runs a lone row: the plane
+/// decoded by the unit and packed, the activation vector in lane 0 of a
+/// tile whose pad lanes stay zero.
+std::uint32_t run_dot(const Emac& e, std::uint32_t bias, const std::vector<std::uint32_t>& w,
                       const std::vector<std::uint32_t>& a) {
-  std::vector<DecodedOp> wd(w.size()), ad(a.size());
+  const std::unique_ptr<MatmulKernel> kern = MatmulKernel::create(e.format(), e.max_terms());
+  if (kern == nullptr) throw std::logic_error("run_dot: no kernel for this format");
+  const std::size_t tile = kern->tile();
+  std::vector<DecodedOp> wd(w.size());
   e.decode_plane(w.data(), w.size(), wd.data());
-  e.decode_plane(a.data(), a.size(), ad.data());
-  return e.dot(bias, wd.data(), ad.data(), w.size());
+  const PackedPlane plane = kern->pack_plane(wd.data(), 1, &bias);
+  std::vector<std::uint32_t> lanes(a.size() * tile, 0);
+  for (std::size_t i = 0; i < a.size(); ++i) lanes[i * tile] = a[i];
+  ActTile acts;
+  kern->pack_acts(lanes.data(), a.size(), 1, tile, acts);
+  std::vector<std::uint32_t> out(tile);
+  kern->matmul(plane, acts, 1, out.data());
+  return out[0];
 }
 
 /// The paper's sweep grid (posit es in {0..3} per width, float, fixed for
@@ -133,31 +147,47 @@ TEST_P(DotEquivalenceTest, ExtremeRowsMatchStepLoop) {
 INSTANTIATE_TEST_SUITE_P(SweepGrid, DotEquivalenceTest, ::testing::ValuesIn(all_formats()));
 
 TEST(DotEquivalence, RtlModelUsesGenericFallback) {
-  // The RTL-faithful posit model keeps the base-class dot() (step replay via
-  // the raw bits riding in the plane): still bit-identical, by construction.
-  const num::PositFormat fmt{6, 1};
-  std::mt19937 rng(77);
+  // posit<16,2>'s quire passes the 250-bit ceiling at any k: no kernel
+  // covers it, make_emac hands out the RTL-faithful unit, and Model runs
+  // such a layer on that unit's step() loop — which must still round the
+  // exact sum correctly.
+  const num::Format fmt{num::PositFormat{16, 2}};
   const std::size_t k = 16;
-  auto unit = make_emac(num::Format{fmt}, k, /*bit_accurate=*/true);
+  EXPECT_EQ(MatmulKernel::create(fmt, k), nullptr);
+  auto unit = make_emac(fmt, k);
+  ASSERT_NE(dynamic_cast<PositEmacRtl*>(unit.get()), nullptr);
+  std::mt19937 rng(77);
+  // The exact oracle takes finite values only: NaR patterns become zero.
+  const auto finite = [&] {
+    const std::uint32_t v = rng() & fmt.posit().mask();
+    return v == fmt.posit().nar_pattern() ? fmt.posit().zero_pattern() : v;
+  };
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<std::uint32_t> w(k), a(k);
-    for (auto& v : w) v = rng() & fmt.mask();
-    for (auto& v : a) v = rng() & fmt.mask();
-    const std::uint32_t bias = rng() & fmt.mask();
-    EXPECT_EQ(run_dot(*unit, bias, w, a), run_step_loop(*unit, bias, w, a));
+    for (auto& v : w) v = finite();
+    for (auto& v : a) v = finite();
+    const std::uint32_t bias = finite();
+    EXPECT_EQ(run_step_loop(*unit, bias, w, a), testing::oracle_mac(fmt, bias, w, a))
+        << "trial=" << trial;
   }
 }
 
 TEST(DotEquivalence, NarrowAccumulatorSelection) {
-  // posit<8,0>, k=128: eq. (4)-style bound is 4*6*1 + 2*6 + 8 + 2 = 46 bits
-  // -> int64. posit<8,1>: 4*12 + 2*5 + 8 + 2 = 68 -> __int128. posit<8,3>
-  // at k=64: 4*48 + 2*3 + 7 + 2 = 207 -> Acc256.
-  EXPECT_EQ(PositEmacFast(num::PositFormat{8, 0}, 128).acc_kind(), AccKind::kI64);
-  EXPECT_EQ(PositEmacFast(num::PositFormat{8, 1}, 128).acc_kind(), AccKind::kI128);
-  EXPECT_EQ(PositEmacFast(num::PositFormat{8, 3}, 64).acc_kind(), AccKind::kWide);
+  // The kernel spec picks the narrowest Kulisch register its bound allows.
+  // posit<8,0>, k=128: 4*6*1 + 2*6 + 8 + 2 = 46 bits -> int64.
+  // posit<8,1>: 4*12 + 2*5 + 8 + 2 = 68 -> __int128. posit<8,3> at k=64:
+  // 4*48 + 2*3 + 7 + 2 = 207 -> Acc256.
+  const auto acc_kind = [](const num::Format& fmt, std::size_t k) {
+    KernelSpec spec(fmt);
+    EXPECT_TRUE(make_kernel_spec(fmt, k, spec)) << fmt.name();
+    return spec.acc_kind;
+  };
+  EXPECT_EQ(acc_kind(num::PositFormat{8, 0}, 128), AccKind::kI64);
+  EXPECT_EQ(acc_kind(num::PositFormat{8, 1}, 128), AccKind::kI128);
+  EXPECT_EQ(acc_kind(num::PositFormat{8, 3}, 64), AccKind::kWide);
   // float<4,3> (we=4, wf=3): 2*14 + 2*3 + 2 + 8 + 1 = 45 -> int64.
-  EXPECT_EQ(FloatEmac(num::FloatFormat{4, 3}, 128).acc_kind(), AccKind::kI64);
-  EXPECT_EQ(FloatEmac(num::FloatFormat{5, 10}, 128).acc_kind(), AccKind::kI128);
+  EXPECT_EQ(acc_kind(num::FloatFormat{4, 3}, 128), AccKind::kI64);
+  EXPECT_EQ(acc_kind(num::FloatFormat{5, 10}, 128), AccKind::kI128);
 }
 
 TEST(DotEquivalence, DecodeLutIsSharedAcrossUnitsAndClones) {

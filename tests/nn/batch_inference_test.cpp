@@ -1,27 +1,24 @@
-// Tests for the batched multi-threaded inference path: predict_batch /
-// forward_bits_batch / forward_batch must be bit-exact against the
-// per-sample scalar path for every format family and for every thread count
-// (the identical-results guarantee of the engine).
-//
-// These entry points are deprecated copying shims over runtime::Session
-// (docs/api.md); this suite deliberately keeps exercising them so the legacy
-// surface stays bit-identical to the runtime API until it is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-#include "nn/deep_positron.hpp"
+// Tests for batched multi-threaded inference through runtime::Session:
+// predict / forward_bits / forward over a BatchView must be bit-exact
+// against the single-row entry points for every format family and for every
+// pool size (the identical-results guarantee of the engine).
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
+#include "emac/emac.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
+#include "runtime/session.hpp"
 
 namespace dp::nn {
 namespace {
+
+using runtime::BatchView;
+using runtime::Model;
+using runtime::Session;
 
 // An untrained (random-init) net is enough here: batch vs scalar equality is
 // a property of the execution engine, not of the weights.
@@ -46,13 +43,16 @@ std::vector<num::Format> formats_under_test() {
 TEST(BatchInference, PredictBatchMatchesScalarAcrossFormatsAndThreads) {
   const Mlp net = random_net();
   const auto xs = random_batch(67, net.input_dim(), 5);
+  const std::vector<double> flat = runtime::pack_rows(xs, net.input_dim());
   for (const num::Format& fmt : formats_under_test()) {
-    const DeepPositron engine(quantize(net, fmt));
+    const auto model = Model::create(quantize(net, fmt));
+    Session engine(model);
     std::vector<int> scalar;
     scalar.reserve(xs.size());
     for (const auto& x : xs) scalar.push_back(engine.predict(x));
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(engine.predict_batch(xs, threads), scalar)
+      Session pooled(model, {threads});
+      EXPECT_EQ(pooled.predict(BatchView(flat, net.input_dim())), scalar)
           << fmt.name() << " with " << threads << " threads";
     }
   }
@@ -61,13 +61,18 @@ TEST(BatchInference, PredictBatchMatchesScalarAcrossFormatsAndThreads) {
 TEST(BatchInference, ForwardBitsBatchIsBitExactAcrossThreadCounts) {
   const Mlp net = random_net();
   const auto xs = random_batch(41, net.input_dim(), 9);
+  const std::vector<double> flat = runtime::pack_rows(xs, net.input_dim());
   for (const num::Format& fmt : formats_under_test()) {
-    const DeepPositron engine(quantize(net, fmt));
-    std::vector<std::vector<std::uint32_t>> scalar;
-    scalar.reserve(xs.size());
-    for (const auto& x : xs) scalar.push_back(engine.forward_bits(x));
+    const auto model = Model::create(quantize(net, fmt));
+    Session engine(model);
+    std::vector<std::uint32_t> scalar;
+    for (const auto& x : xs) {
+      const auto bits = engine.forward_bits(x);
+      scalar.insert(scalar.end(), bits.begin(), bits.end());
+    }
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(engine.forward_bits_batch(xs, threads), scalar)
+      Session pooled(model, {threads});
+      EXPECT_EQ(pooled.forward_bits(BatchView(flat, net.input_dim())).data, scalar)
           << fmt.name() << " with " << threads << " threads";
     }
   }
@@ -76,51 +81,71 @@ TEST(BatchInference, ForwardBitsBatchIsBitExactAcrossThreadCounts) {
 TEST(BatchInference, ForwardBatchMatchesScalarScores) {
   const Mlp net = random_net();
   const auto xs = random_batch(23, net.input_dim(), 3);
-  const DeepPositron engine(quantize(net, num::Format{num::PositFormat{8, 1}}));
-  const auto batched = engine.forward_batch(xs, 8);
-  ASSERT_EQ(batched.size(), xs.size());
+  const std::vector<double> flat = runtime::pack_rows(xs, net.input_dim());
+  const auto model = Model::create(quantize(net, num::Format{num::PositFormat{8, 1}}));
+  Session pooled(model, {8});
+  Session engine(model);
+  const auto batched = pooled.forward(BatchView(flat, net.input_dim()));
+  ASSERT_EQ(batched.rows(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(batched[i], engine.forward(xs[i])) << "row " << i;
+    const auto row = batched.row(i);
+    const auto scores = engine.forward(xs[i]);
+    EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
+              std::vector<double>(scores.begin(), scores.end()))
+        << "row " << i;
   }
 }
 
 TEST(BatchInference, ScratchReuseMatchesFreshScratch) {
   const Mlp net = random_net();
   const auto xs = random_batch(16, net.input_dim(), 7);
-  const DeepPositron engine(quantize(net, num::Format{num::FloatFormat{4, 3}}));
-  DeepPositron::Scratch scratch = engine.make_scratch();
+  const auto model = Model::create(quantize(net, num::Format{num::FloatFormat{4, 3}}));
+  Session reused(model);
   for (const auto& x : xs) {
-    EXPECT_EQ(engine.forward_bits(x, scratch), engine.forward_bits(x));
+    Session fresh(model);
+    const auto a = reused.forward_bits(x);
+    const auto b = fresh.forward_bits(x);
+    EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
+              std::vector<std::uint32_t>(b.begin(), b.end()));
   }
 }
 
 TEST(BatchInference, AccuracyIsThreadCountInvariant) {
   const Mlp net = random_net();
   const auto xs = random_batch(50, net.input_dim(), 11);
+  const std::vector<double> flat = runtime::pack_rows(xs, net.input_dim());
+  const BatchView view(flat, net.input_dim());
   std::vector<int> ys;
   for (std::size_t i = 0; i < xs.size(); ++i) ys.push_back(static_cast<int>(i % 3));
-  const DeepPositron engine(quantize(net, num::Format{num::PositFormat{8, 0}}));
-  const double serial = engine.accuracy(xs, ys);
-  EXPECT_EQ(engine.accuracy(xs, ys, 2), serial);
-  EXPECT_EQ(engine.accuracy(xs, ys, 8), serial);
+  const auto model = Model::create(quantize(net, num::Format{num::PositFormat{8, 0}}));
+  const double serial = Session(model).accuracy(view, ys);
+  EXPECT_EQ(Session(model, {2}).accuracy(view, ys), serial);
+  EXPECT_EQ(Session(model, {8}).accuracy(view, ys), serial);
 }
 
 TEST(BatchInference, EmptyBatchAndDefaultThreads) {
   const Mlp net = random_net();
-  const DeepPositron engine(quantize(net, num::Format{num::PositFormat{8, 1}}));
-  EXPECT_TRUE(engine.predict_batch({}, 4).empty());
+  const auto model = Model::create(quantize(net, num::Format{num::PositFormat{8, 1}}));
+  const BatchView empty(std::span<const double>{}, net.input_dim());
+  EXPECT_TRUE(Session(model, {4}).predict(empty).empty());
   // num_threads = 0 (hardware concurrency) must work on any machine.
   const auto xs = random_batch(5, net.input_dim(), 1);
-  EXPECT_EQ(engine.predict_batch(xs, 0).size(), xs.size());
+  const std::vector<double> flat = runtime::pack_rows(xs, net.input_dim());
+  EXPECT_EQ(Session(model, {0}).predict(BatchView(flat, net.input_dim())).size(), xs.size());
 }
 
 TEST(BatchInference, BadRowSizeThrowsFromWorkerPool) {
   const Mlp net = random_net();
-  const DeepPositron engine(quantize(net, num::Format{num::PositFormat{8, 1}}));
+  const auto model = Model::create(quantize(net, num::Format{num::PositFormat{8, 1}}));
   auto xs = random_batch(12, net.input_dim(), 2);
   xs[7].pop_back();
-  EXPECT_THROW(engine.predict_batch(xs, 4), std::invalid_argument);
-  EXPECT_THROW(engine.predict_batch(xs, 1), std::invalid_argument);
+  EXPECT_THROW(runtime::pack_rows(xs, net.input_dim()), std::invalid_argument);
+  // A batch whose rows are one value short of the model's input width.
+  const std::vector<double> narrow(12 * (net.input_dim() - 1), 0.5);
+  EXPECT_THROW(Session(model, {4}).predict(BatchView(narrow, net.input_dim() - 1)),
+               std::invalid_argument);
+  EXPECT_THROW(Session(model, {1}).predict(BatchView(narrow, net.input_dim() - 1)),
+               std::invalid_argument);
 }
 
 TEST(BatchInference, EmacCloneIsIndependent) {

@@ -10,6 +10,8 @@
 #include <set>
 #include <vector>
 
+#include "numeric/posit.hpp"
+
 namespace dp::num {
 namespace {
 
@@ -165,6 +167,52 @@ TEST(FormatConvert, TableMatchesConvertForEveryPaperGridPair) {
             << from.name() << " -> " << to.name();
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Posit-to-posit conversion through convert(): one rounding, as at a mixed
+// model's boundary between two posit layers.
+// ---------------------------------------------------------------------------
+
+std::uint32_t posit_convert(std::uint32_t bits, const PositFormat& from, const PositFormat& to) {
+  return convert(bits, Format{from}, Format{to});
+}
+
+TEST(PositConvert, WideningIsExact) {
+  const PositFormat small{8, 1};
+  const PositFormat big{16, 1};
+  for (std::uint32_t bits = 0; bits < (1u << 8); ++bits) {
+    const std::uint32_t wide = posit_convert(bits, small, big);
+    if (bits == small.nar_pattern()) {
+      EXPECT_EQ(wide, big.nar_pattern());
+      continue;
+    }
+    EXPECT_EQ(posit_to_double(wide, big), posit_to_double(bits, small)) << bits;
+    // Round trip back is the identity.
+    EXPECT_EQ(posit_convert(wide, big, small), bits) << bits;
+  }
+}
+
+TEST(PositConvert, NarrowingRoundsCorrectly) {
+  const PositFormat big{12, 1};
+  const PositFormat small{8, 1};
+  for (std::uint32_t bits = 0; bits < (1u << 12); ++bits) {
+    if (bits == big.nar_pattern()) continue;
+    const std::uint32_t narrow = posit_convert(bits, big, small);
+    EXPECT_EQ(narrow, posit_from_double(posit_to_double(bits, big), small)) << bits;
+  }
+}
+
+TEST(PositConvert, AcrossEsValues) {
+  const PositFormat es0{8, 0};
+  const PositFormat es2{10, 2};
+  for (std::uint32_t bits = 0; bits < (1u << 8); ++bits) {
+    if (bits == es0.nar_pattern()) continue;
+    const double v = posit_to_double(bits, es0);
+    // posit<10,2> covers posit<8,0>'s range with at least as much precision
+    // near 1; check correctly rounded conversion.
+    EXPECT_EQ(posit_convert(bits, es0, es2), posit_from_double(v, es2)) << bits;
   }
 }
 

@@ -1,9 +1,10 @@
-// Acceptance tests for the register-blocked multi-sample Session path: for
-// every pool size and batch shape (tile-aligned and ragged), a Session
-// driving the blocked kernels must be bit-identical to a Session pinned to
-// the per-sample fused path (allow_blocked = false) — and to the forced
-// scalar kernel (DP_FORCE_SCALAR_KERNEL). Plus the serve-layer contract:
-// tile-aligned flushes never delay a lone request past max_wait.
+// Acceptance tests for the Session's one forward path: for every pool size
+// and batch shape (tile-aligned, ragged and single rows), a Session must be
+// bit-identical to the per-sample step oracle (tests/step_oracle.hpp) — on
+// the dispatched kernels, on the forced scalar kernel
+// (DP_FORCE_SCALAR_KERNEL), and on layers with no kernel at all, which run
+// the step fallback. Plus the serve-layer contract: tile-aligned flushes
+// never delay a lone request past max_wait.
 
 #include "runtime/session.hpp"
 
@@ -21,6 +22,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "serve/batcher.hpp"
+#include "step_oracle.hpp"
 
 namespace dp::runtime {
 namespace {
@@ -44,8 +46,9 @@ std::vector<num::Format> rep_formats() {
 TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
   const nn::Mlp net = random_net();
   for (const num::Format& fmt : rep_formats()) {
-    const auto model = Model::create(nn::quantize(net, fmt));
-    ASSERT_TRUE(model->blocked_available()) << fmt.name();
+    const nn::QuantizedNetwork qnet = nn::quantize(net, fmt);
+    const auto model = Model::create(qnet);
+    ASSERT_STRNE(model->kernel_name(), "step") << fmt.name();
     const std::size_t tile = model->preferred_tile();
     ASSERT_GE(tile, 2u) << fmt.name();
 
@@ -54,10 +57,19 @@ TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
                                           tile + 1, 2 * tile + 3, 64};
     const std::size_t max_rows = *std::max_element(shapes.begin(), shapes.end());
     const std::vector<double> flat = random_batch(max_rows, net.input_dim(), 5);
+    const BatchView all(flat, net.input_dim());
 
-    // Reference: the per-sample fused path, pool of 1.
-    Session reference(model, {.num_threads = 1, .allow_blocked = false});
-    EXPECT_EQ(reference.preferred_batch_multiple(), 1u);
+    // Reference: the per-sample step oracle.
+    const std::vector<std::uint32_t> want_bits = testing::step_forward_rows(qnet, all);
+    std::vector<int> want_pred;
+    std::vector<double> want_scores;
+    for (std::size_t r = 0; r < all.rows(); ++r) {
+      want_pred.push_back(testing::step_predict(qnet, all.row(r)));
+    }
+    for (const std::uint32_t b : want_bits) {
+      want_scores.push_back(model->output_format().to_double(b));
+    }
+    const std::size_t width = model->output_dim();
 
     for (const std::size_t pool : {1u, 2u, 8u}) {
       Session blocked(model, {.num_threads = pool});
@@ -65,11 +77,16 @@ TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
       for (const std::size_t rows : shapes) {
         const BatchView view(std::span<const double>(flat).first(rows * net.input_dim()),
                              net.input_dim());
-        ASSERT_EQ(blocked.forward_bits(view).data, reference.forward_bits(view).data)
+        const auto n = static_cast<std::ptrdiff_t>(rows * width);
+        ASSERT_EQ(blocked.forward_bits(view).data,
+                  std::vector<std::uint32_t>(want_bits.begin(), want_bits.begin() + n))
             << fmt.name() << " pool=" << pool << " rows=" << rows << " tile=" << tile;
-        EXPECT_EQ(blocked.predict(view), reference.predict(view))
+        EXPECT_EQ(blocked.predict(view),
+                  std::vector<int>(want_pred.begin(),
+                                   want_pred.begin() + static_cast<std::ptrdiff_t>(rows)))
             << fmt.name() << " pool=" << pool << " rows=" << rows;
-        EXPECT_EQ(blocked.forward(view).data, reference.forward(view).data)
+        EXPECT_EQ(blocked.forward(view).data,
+                  std::vector<double>(want_scores.begin(), want_scores.begin() + n))
             << fmt.name() << " pool=" << pool << " rows=" << rows;
       }
     }
@@ -88,7 +105,6 @@ TEST(BlockedSession, ForcedScalarKernelIsBitIdenticalToDispatched) {
   const auto forced = Model::create(nn::quantize(net, fmt));
   unsetenv("DP_FORCE_SCALAR_KERNEL");
 
-  ASSERT_TRUE(forced->blocked_available());
   EXPECT_STREQ(forced->kernel_name(), "scalar-blocked");
 
   Session a(dispatched, {2});
@@ -130,18 +146,68 @@ TEST(BlockedSession, PositEightOneDispatchIsPinned) {
 }
 
 TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
+  // posit<16,2>'s quire passes the kernels' 250-bit ceiling at every fan-in,
+  // so every layer runs the step fallback on the RTL-faithful unit.
   const nn::Mlp net = random_net();
-  const auto model =
-      Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 0}}),
-                    ForwardPath::kStep);
-  EXPECT_FALSE(model->blocked_available());
+  const auto model = Model::create(nn::quantize(net, num::Format{num::PositFormat{16, 2}}));
   EXPECT_EQ(model->preferred_tile(), 1u);
-  EXPECT_STREQ(model->kernel_name(), "none");
-  // A Session over a step model transparently runs the per-sample path.
+  EXPECT_STREQ(model->kernel_name(), "step");
   Session session(model, {2});
   EXPECT_EQ(session.preferred_batch_multiple(), 1u);
   const std::vector<double> flat = random_batch(9, net.input_dim(), 3);
   EXPECT_EQ(session.predict(BatchView(flat, net.input_dim())).size(), 9u);
+}
+
+TEST(BlockedSession, StepFallbackLayersMatchStepOracleAcrossPools) {
+  // A model with no kernel at all, and a mixed model whose middle layer has
+  // none between two kernel layers: single rows and batches, every pool.
+  const nn::Mlp net = random_net();
+  const num::Format p16{num::PositFormat{16, 2}};
+  const num::Format p8{num::PositFormat{8, 0}};
+  const std::vector<std::vector<num::Format>> assignments{{p16, p16, p16}, {p8, p16, p8}};
+  const std::vector<const char*> kernels{"step", "mixed"};
+  const std::vector<double> flat = random_batch(21, net.input_dim(), 41);
+  const BatchView all(flat, net.input_dim());
+  for (std::size_t a = 0; a < assignments.size(); ++a) {
+    const nn::QuantizedNetwork qnet = nn::quantize(net, assignments[a]);
+    const auto model = Model::create(qnet);
+    EXPECT_STREQ(model->kernel_name(), kernels[a]);
+    const std::vector<std::uint32_t> want = testing::step_forward_rows(qnet, all);
+    for (const std::size_t pool : {1u, 2u, 4u}) {
+      Session session(model, {pool});
+      EXPECT_EQ(session.forward_bits(all).data, want) << kernels[a] << " pool=" << pool;
+      for (std::size_t r = 0; r < all.rows(); ++r) {
+        const auto got = session.forward_bits(all.row(r));
+        ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                  testing::step_forward(qnet, all.row(r)))
+            << kernels[a] << " pool=" << pool << " row=" << r;
+      }
+    }
+  }
+}
+
+TEST(BlockedSession, SingleRowsMatchStepOracleForEveryRepFormat) {
+  // The single-row entry points run the kernels as a one-row tile; under
+  // DP_FORCE_SCALAR_KERNEL this covers the scalar kernel at one row too.
+  const nn::Mlp net = random_net();
+  const std::vector<double> flat = random_batch(12, net.input_dim(), 17);
+  const BatchView all(flat, net.input_dim());
+  for (const num::Format& fmt : rep_formats()) {
+    const nn::QuantizedNetwork qnet = nn::quantize(net, fmt);
+    Session session(Model::create(qnet), {2});
+    for (std::size_t r = 0; r < all.rows(); ++r) {
+      const std::vector<std::uint32_t> want = testing::step_forward(qnet, all.row(r));
+      const auto bits = session.forward_bits(all.row(r));
+      ASSERT_EQ(std::vector<std::uint32_t>(bits.begin(), bits.end()), want)
+          << fmt.name() << " row=" << r;
+      const auto scores = session.forward(all.row(r));
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(scores[j], fmt.to_double(want[j])) << fmt.name() << " row=" << r;
+      }
+      EXPECT_EQ(session.predict(all.row(r)), testing::step_predict(qnet, all.row(r)))
+          << fmt.name() << " row=" << r;
+    }
+  }
 }
 
 TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {

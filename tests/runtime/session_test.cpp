@@ -1,9 +1,10 @@
 // Acceptance tests for the runtime Model/Session API: Session outputs must
-// equal the legacy DeepPositron outputs bit-for-bit for every format in the
-// paper sweep grid (n in [5,8]), across batch sizes {1, 7, 64} and pool
-// sizes {1, 2, 8} — the API redesign is pure plumbing, never a numerics
-// change. Plus the Session-level contracts: zero-copy single-sample spans,
-// step-vs-fused equality, input validation, and model sharing.
+// equal the legacy per-MAC step() recurrence (the step oracle,
+// tests/step_oracle.hpp) bit-for-bit for every format in the paper sweep
+// grid (n in [5,8]), across batch sizes {1, 7, 64} and pool sizes {1, 2, 8}
+// — the execution engine is pure plumbing, never a numerics change. Plus the
+// Session-level contracts: zero-copy single-sample spans, input validation,
+// and model sharing.
 
 #include "runtime/session.hpp"
 
@@ -12,16 +13,16 @@
 #include <random>
 #include <vector>
 
-#include "nn/deep_positron.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
+#include "step_oracle.hpp"
 
 namespace dp::runtime {
 namespace {
 
-// An untrained (random-init) net is enough: runtime-vs-legacy equality is a
-// property of the execution engine, not of the weights.
+// An untrained (random-init) net is enough: equality with the step oracle is
+// a property of the execution engine, not of the weights.
 nn::Mlp random_net() { return nn::Mlp({6, 16, 8, 3}, /*seed=*/42); }
 
 std::vector<double> random_batch(std::size_t rows, std::size_t dim, std::uint32_t seed) {
@@ -44,19 +45,18 @@ TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
 
   for (int n = 5; n <= 8; ++n) {
     for (const num::Format& fmt : num::paper_format_grid(n)) {
-      const nn::DeepPositron legacy(nn::quantize(net, fmt));
-      // Legacy scalar reference, one fresh engine call per row.
+      const nn::QuantizedNetwork qnet = nn::quantize(net, fmt);
+      // Step-oracle reference, one row at a time.
       std::vector<std::vector<std::uint32_t>> ref_bits;
       std::vector<int> ref_pred;
       for (std::size_t i = 0; i < all.rows(); ++i) {
-        ref_bits.push_back(legacy.forward_bits(row_of(all, i)));
-        ref_pred.push_back(legacy.predict(row_of(all, i)));
+        ref_bits.push_back(testing::step_forward(qnet, row_of(all, i)));
+        ref_pred.push_back(testing::step_predict(qnet, row_of(all, i)));
       }
 
+      const auto model = Model::create(qnet);
       for (const std::size_t pool : {1u, 2u, 8u}) {
-        // Share the legacy engine's model — one decode of the weight planes
-        // serves the legacy facade and every Session.
-        Session session(legacy.model(), {pool});
+        Session session(model, {pool});
         for (const std::size_t batch : {1u, 7u, 64u}) {
           const BatchView view(std::span<const double>(flat).first(batch * all.row_width()),
                                all.row_width());
@@ -98,19 +98,6 @@ TEST(RuntimeSession, SingleSampleSpansMatchBatchRows) {
   }
 }
 
-TEST(RuntimeSession, StepAndFusedModelsAreBitIdentical) {
-  const nn::Mlp net = random_net();
-  for (const num::Format& fmt :
-       {num::Format{num::PositFormat{8, 0}}, num::Format{num::FloatFormat{4, 3}},
-        num::Format{num::FixedFormat{8, 6}}}) {
-    Session fused(Model::create(nn::quantize(net, fmt)), {2});
-    Session step(Model::create(nn::quantize(net, fmt), ForwardPath::kStep), {2});
-    const std::vector<double> flat = random_batch(24, net.input_dim(), 21);
-    const BatchView view(flat, net.input_dim());
-    EXPECT_EQ(fused.forward_bits(view).data, step.forward_bits(view).data) << fmt.name();
-  }
-}
-
 TEST(RuntimeSession, ForwardBitsIntoWritesCallerBufferIdentically) {
   // The serving hook (serve::DynamicBatcher writes micro-batch results
   // straight into response storage): same bits as the allocating overload,
@@ -133,17 +120,17 @@ TEST(RuntimeSession, AccuracyMatchesLegacyAndIsPoolInvariant) {
   const nn::Mlp net = random_net();
   const std::vector<double> flat = random_batch(50, net.input_dim(), 11);
   const BatchView view(flat, net.input_dim());
+  const nn::QuantizedNetwork qnet = nn::quantize(net, num::Format{num::PositFormat{8, 0}});
   std::vector<int> ys;
-  std::vector<std::vector<double>> legacy_rows;
+  std::size_t hits = 0;
   for (std::size_t i = 0; i < view.rows(); ++i) {
     ys.push_back(static_cast<int>(i % 3));
-    const auto r = view.row(i);
-    legacy_rows.emplace_back(r.begin(), r.end());
+    if (testing::step_predict(qnet, view.row(i)) == ys.back()) ++hits;
   }
-  const nn::DeepPositron legacy(nn::quantize(net, num::Format{num::PositFormat{8, 0}}));
-  const double ref = legacy.accuracy(legacy_rows, ys);
+  const double ref = static_cast<double>(hits) / static_cast<double>(view.rows());
+  const auto model = Model::create(qnet);
   for (const std::size_t pool : {1u, 2u, 8u}) {
-    Session session(legacy.model(), {pool});
+    Session session(model, {pool});
     EXPECT_EQ(session.accuracy(view, ys), ref) << "pool " << pool;
   }
 }
@@ -171,9 +158,11 @@ TEST(RuntimeSession, ValidatesInputs) {
   EXPECT_THROW(session.forward_bits(BatchView(flat, 4)), std::invalid_argument);
   EXPECT_THROW(session.predict(BatchView(flat, 4)), std::invalid_argument);
 
-  // Single-sample size check comes from the model.
+  // Single-sample inputs must be exactly input_dim() wide.
   EXPECT_THROW(session.predict(std::span<const double>(flat.data(), 4)),
                std::invalid_argument);
+  // ...not a whole number of rows either: two rows are not one.
+  EXPECT_THROW(session.forward_bits(std::span<const double>(flat)), std::invalid_argument);
 
   // Label count must match the batch.
   const BatchView ok(flat, net.input_dim());
