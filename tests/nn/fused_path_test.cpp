@@ -1,39 +1,34 @@
-// The fused weight-plane matvec path (DeepPositron::ForwardPath::kFused, the
-// default) must be bit-identical to the legacy per-MAC step() path for every
-// format in the paper's sweep grid and at every thread count — the fused
+// The fused inference path (each layer's MatmulKernel over packed weight
+// planes, single rows run as a one-row tile) must be bit-identical to the
+// per-MAC step() recurrence (the step oracle, tests/step_oracle.hpp) for
+// every format in the paper's sweep grid and at every pool size — the fused
 // path is a pure execution-engine optimization, never a numerics change.
-//
-// Exercises the deprecated vector-of-vectors shims on purpose: they must
-// stay bit-identical to the runtime API until the legacy surface is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-#include "nn/deep_positron.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
+#include "runtime/session.hpp"
+#include "step_oracle.hpp"
 
 namespace dp::nn {
 namespace {
 
+using runtime::BatchView;
+using runtime::Model;
+using runtime::Session;
+
 Mlp random_net() { return Mlp({6, 16, 8, 3}, /*seed=*/42); }
 
-std::vector<std::vector<double>> random_batch(std::size_t rows, std::size_t dim,
-                                              std::uint32_t seed) {
+std::vector<double> random_batch(std::size_t rows, std::size_t dim, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> u(-2.0, 2.0);
-  std::vector<std::vector<double>> xs(rows, std::vector<double>(dim));
-  for (auto& row : xs) {
-    for (double& v : row) v = u(rng);
-  }
+  std::vector<double> xs(rows * dim);
+  for (double& v : xs) v = u(rng);
   return xs;
 }
 
@@ -48,47 +43,26 @@ std::vector<num::Format> sweep_formats() {
 
 TEST(FusedPath, BitIdenticalToStepPathAcrossSweepGridAndThreads) {
   const Mlp net = random_net();
-  const auto xs = random_batch(24, net.input_dim(), 13);
+  const std::vector<double> flat = random_batch(24, net.input_dim(), 13);
+  const BatchView xs(flat, net.input_dim());
   for (const num::Format& fmt : sweep_formats()) {
     const QuantizedNetwork qnet = quantize(net, fmt);
-    const DeepPositron fused(qnet);  // default path
-    const DeepPositron legacy(qnet, DeepPositron::ForwardPath::kStep);
-    ASSERT_EQ(fused.forward_path(), DeepPositron::ForwardPath::kFused);
-    ASSERT_EQ(legacy.forward_path(), DeepPositron::ForwardPath::kStep);
-    const auto reference = legacy.forward_bits_batch(xs, 1);
+    const std::vector<std::uint32_t> reference = testing::step_forward_rows(qnet, xs);
+    const auto model = Model::create(qnet);
+    const std::size_t width = net.output_dim();
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(fused.forward_bits_batch(xs, threads), reference)
-          << fmt.name() << " fused vs step at " << threads << " threads";
-      EXPECT_EQ(legacy.forward_bits_batch(xs, threads), reference)
-          << fmt.name() << " step at " << threads << " threads";
+      Session session(model, {threads});
+      EXPECT_EQ(session.forward_bits(xs).data, reference)
+          << fmt.name() << " fused batch vs step at " << threads << " threads";
+      for (std::size_t r = 0; r < xs.rows(); ++r) {
+        const auto bits = session.forward_bits(xs.row(r));
+        EXPECT_EQ(std::vector<std::uint32_t>(bits.begin(), bits.end()),
+                  std::vector<std::uint32_t>(reference.begin() + r * width,
+                                             reference.begin() + (r + 1) * width))
+            << fmt.name() << " fused row " << r << " vs step at " << threads << " threads";
+      }
     }
   }
-}
-
-TEST(FusedPath, ScalarOverloadsUseFusedPathConsistently) {
-  const Mlp net = random_net();
-  const auto xs = random_batch(8, net.input_dim(), 21);
-  const num::Format fmt{num::PositFormat{8, 1}};
-  const DeepPositron fused(quantize(net, fmt));
-  const DeepPositron legacy(quantize(net, fmt), DeepPositron::ForwardPath::kStep);
-  for (const auto& x : xs) {
-    EXPECT_EQ(fused.forward_bits(x), legacy.forward_bits(x));
-    EXPECT_EQ(fused.predict(x), legacy.predict(x));
-  }
-}
-
-TEST(FusedPath, EnvVarForcesStepPath) {
-  const Mlp net = random_net();
-  const QuantizedNetwork qnet = quantize(net, num::Format{num::PositFormat{8, 0}});
-  ASSERT_EQ(::setenv("DP_FORCE_STEP_PATH", "1", /*overwrite=*/1), 0);
-  const DeepPositron forced(qnet);  // would default to kFused
-  ::unsetenv("DP_FORCE_STEP_PATH");
-  EXPECT_EQ(forced.forward_path(), DeepPositron::ForwardPath::kStep);
-  // "0" and unset leave the default alone.
-  ASSERT_EQ(::setenv("DP_FORCE_STEP_PATH", "0", 1), 0);
-  const DeepPositron not_forced(qnet);
-  ::unsetenv("DP_FORCE_STEP_PATH");
-  EXPECT_EQ(not_forced.forward_path(), DeepPositron::ForwardPath::kFused);
 }
 
 }  // namespace

@@ -98,6 +98,28 @@ TEST(RuntimeSession, SingleSampleSpansMatchBatchRows) {
   }
 }
 
+TEST(RuntimeSession, StepAndFusedModelsAreBitIdentical) {
+  // The fused kernel path of a Model, batched and one row at a time, against
+  // the per-MAC step recurrence of the step oracle.
+  const nn::Mlp net = random_net();
+  for (const num::Format& fmt :
+       {num::Format{num::PositFormat{8, 0}}, num::Format{num::FloatFormat{4, 3}},
+        num::Format{num::FixedFormat{8, 6}}}) {
+    const nn::QuantizedNetwork qnet = nn::quantize(net, fmt);
+    Session fused(Model::create(qnet), {2});
+    const std::vector<double> flat = random_batch(24, net.input_dim(), 21);
+    const BatchView view(flat, net.input_dim());
+    const std::vector<std::uint32_t> step = testing::step_forward_rows(qnet, view);
+    EXPECT_EQ(fused.forward_bits(view).data, step) << fmt.name();
+    std::vector<std::uint32_t> rows;
+    for (std::size_t i = 0; i < view.rows(); ++i) {
+      const auto b = fused.forward_bits(view.row(i));
+      rows.insert(rows.end(), b.begin(), b.end());
+    }
+    EXPECT_EQ(rows, step) << fmt.name() << " single rows";
+  }
+}
+
 TEST(RuntimeSession, ForwardBitsIntoWritesCallerBufferIdentically) {
   // The serving hook (serve::DynamicBatcher writes micro-batch results
   // straight into response storage): same bits as the allocating overload,
