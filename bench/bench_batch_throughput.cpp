@@ -82,6 +82,7 @@ struct Point {
   std::string format;              // uniform name, or "mixed" for a per-layer sweep entry
   std::string layer_formats_json;  // every layer's format name, as a JSON array
   double bits_per_weight;          // parameter-weighted mean storage bits
+  double packed_bytes_per_weight;  // Model::packed_bytes_per_weight(): kernel operand bytes
   const char* kernel;  // Model::kernel_name(): "avx2", "avx2-2limb", "scalar-blocked",
                        // "step" or "mixed"
   std::size_t tile;    // samples per weight-plane pass
@@ -114,12 +115,14 @@ void write_throughput_json(const std::string& path, std::size_t rows, int repeat
     const Point& p = points[i];
     std::fprintf(f,
                  "    {\"format\": \"%s\", \"layer_formats\": %s, "
-                 "\"bits_per_weight\": %.4f, \"kernel\": \"%s\", "
+                 "\"bits_per_weight\": %.4f, \"packed_bytes_per_weight\": %.2f, "
+                 "\"kernel\": \"%s\", "
                  "\"tile\": %zu, \"threads\": %zu, "
                  "\"inferences_per_s\": %.1f, \"mmacs_per_s\": %.2f, "
                  "\"speedup_vs_1t\": %.3f, \"per_core_efficiency\": %.3f, "
                  "\"bit_identical\": %s}%s\n",
-                 p.format.c_str(), p.layer_formats_json.c_str(), p.bits_per_weight, p.kernel,
+                 p.format.c_str(), p.layer_formats_json.c_str(), p.bits_per_weight,
+                 p.packed_bytes_per_weight, p.kernel,
                  p.tile, p.threads, p.inferences_per_s, p.mmacs_per_s,
                  p.speedup_vs_1t, p.per_core_efficiency, p.bit_identical ? "true" : "false",
                  i + 1 == points.size() ? "" : ",");
@@ -175,8 +178,9 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
     macs_per_inference = model->macs_per_inference();
     const double macs = static_cast<double>(macs_per_inference) * static_cast<double>(rows);
 
-    std::printf("%s (%zu MACs/inference, kernel=%s tile=%zu)\n", label.c_str(),
-                macs_per_inference, model->kernel_name(), model->preferred_tile());
+    std::printf("%s (%zu MACs/inference, kernel=%s tile=%zu, %.0f B/weight packed)\n",
+                label.c_str(), macs_per_inference, model->kernel_name(),
+                model->preferred_tile(), model->packed_bytes_per_weight());
     std::printf("  %8s  %14s  %12s  %10s  %10s  %s\n", "threads", "inferences/s", "MMAC/s",
                 "speedup", "per-core", "bit-identical");
     double base = 0;
@@ -192,7 +196,8 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
       const double per_core = speedup / static_cast<double>(t);
       std::printf("  %8zu  %14.1f  %12.2f  %9.2fx  %10.3f  %s\n", t, ips, macs / secs / 1e6,
                   speedup, per_core, identical ? "yes" : "NO <-- BUG");
-      points.push_back({label, lf_json, model->bits_per_weight(), model->kernel_name(),
+      points.push_back({label, lf_json, model->bits_per_weight(),
+                        model->packed_bytes_per_weight(), model->kernel_name(),
                         model->preferred_tile(), t, ips, macs / secs / 1e6, speedup, per_core,
                         identical});
       if (!identical) return 1;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "numeric/fixedpoint.hpp"
 #include "numeric/minifloat.hpp"
@@ -52,6 +53,13 @@ std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds
   throw std::logic_error("MatmulKernel: no generic readout for this format");
 }
 
+/// The one-limb pre-shifted operand ssig << (sf + sf_bias/2) (kernel.hpp).
+/// make_kernel_spec proves the shift non-negative and the result within
+/// 2^30 for every pattern of a one-limb format.
+std::int64_t preshifted(const DecodedOp& d, int half_bias) {
+  return d.ssig << (d.sf + half_bias);
+}
+
 /// One scalar-kernel lane: the shared readout for the int64 and 128-bit
 /// registers, the generic encoder for the 256-bit one.
 std::uint32_t readout_lane(const KernelSpec& spec, const AccKulisch64& acc, unsigned kinds) {
@@ -68,7 +76,8 @@ std::uint32_t readout_lane(const KernelSpec& spec, const AccKulischWide& acc, un
 
 /// The portable register-blocked kernel: an 8-sample tile, one accum.hpp
 /// policy value per lane, the exact step() recurrence per lane. Works for
-/// all three register widths (the AVX2 kernel only covers the int64 case).
+/// all three register widths. The int64 register is the one-limb spec, so
+/// it multiplies the pre-shifted operands; the wider ones shift and add.
 template <typename Acc>
 class ScalarBlockedKernel final : public MatmulKernel {
  public:
@@ -90,14 +99,22 @@ class ScalarBlockedKernel final : public MatmulKernel {
         }
       }
       const std::int32_t* ws = w.ssig.data() + r * k;
-      const std::int32_t* wsh = w.shift.data() + r * k;
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::int64_t wss = ws[i];
-        const std::int64_t shift = wsh[i];
-        const std::int64_t* as = acts.ssig.data() + i * stride;
-        const std::int64_t* af = acts.sf.data() + i * stride;
-        for (std::size_t s = 0; s < samples; ++s) {
-          acc[s].add_product(wss * as[s], static_cast<int>(shift + af[s]));
+      if constexpr (std::is_same_v<Acc, AccKulisch64>) {
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::int64_t wv = ws[i];
+          const std::int64_t* as = acts.ssig.data() + i * stride;
+          for (std::size_t s = 0; s < samples; ++s) acc[s].v += wv * as[s];
+        }
+      } else {
+        const std::int32_t* wsh = w.shift.data() + r * k;
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::int64_t wss = ws[i];
+          const std::int64_t shift = wsh[i];
+          const std::int64_t* as = acts.ssig.data() + i * stride;
+          const std::int64_t* af = acts.sf.data() + i * stride;
+          for (std::size_t s = 0; s < samples; ++s) {
+            acc[s].add_product(wss * as[s], static_cast<int>(shift + af[s]));
+          }
         }
       }
       const unsigned rk =
@@ -205,6 +222,16 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   if (out.need_bits > 250) return false;  // same ceiling as the step() units
   out.acc_kind = select_acc_kind(out.need_bits);
   if (out.acc_kind == AccKind::kI64) {
+    // One limb: the operands are stored pre-shifted (kernel.hpp). Every
+    // |ssig| <= 2^(prod_bits/2), and every half-shift sf + sf_bias/2 lies in
+    // [0, max_shift/2]: posit sf in [-S, S] with sf_bias/2 = S, float sf in
+    // [1, expmax + 1] with sf_bias/2 = -1, fixed sf = 0. So every |w'|, |a'|
+    // <= 2^((prod_bits + max_shift)/2). need_bits exceeds prod_bits +
+    // max_shift by bit_width(k) + 1 >= 2 or more, so need_bits <= 62 caps
+    // that exponent at 30 and every pre-shifted operand fits int32.
+    if (out.sf_bias % 2 != 0 || (prod_bits + max_shift) / 2 > 30) {
+      throw std::logic_error("make_kernel_spec: a one-limb operand would pass int32");
+    }
     out.limbs = 1;
   } else {
     // Two limbs split at T: each of the <= k+1 hi-limb terms is below
@@ -260,8 +287,10 @@ PackedPlane MatmulKernel::pack_plane(const DecodedOp* weights, std::size_t rows,
   PackedPlane p;
   p.rows = rows;
   p.k = spec_.k;
+  const bool preshift = spec_.limbs == 1;
+  const int half_bias = spec_.sf_bias / 2;
   p.ssig.resize(rows * p.k);
-  p.shift.resize(rows * p.k);
+  if (!preshift) p.shift.resize(rows * p.k);
   p.row_kinds.assign(rows, 0);
   p.bias_ssig.assign(rows, 0);
   p.bias_shift.assign(rows, 0);
@@ -271,8 +300,16 @@ PackedPlane MatmulKernel::pack_plane(const DecodedOp* weights, std::size_t rows,
     for (std::size_t i = 0; i < p.k; ++i) {
       const DecodedOp& d = weights[r * p.k + i];
       kinds |= static_cast<unsigned>(d.kind);
-      p.ssig[r * p.k + i] = static_cast<std::int32_t>(d.ssig);
-      p.shift[r * p.k + i] = d.sf + spec_.sf_bias;
+      if (preshift) {
+        // A zero operand packs to 0 whatever its sf: a value-initialized
+        // DecodedOp (sf = 0) is a valid zero weight here, though its float
+        // half-shift would be negative.
+        p.ssig[r * p.k + i] =
+            d.ssig == 0 ? 0 : static_cast<std::int32_t>(preshifted(d, half_bias));
+      } else {
+        p.ssig[r * p.k + i] = static_cast<std::int32_t>(d.ssig);
+        p.shift[r * p.k + i] = d.sf + spec_.sf_bias;
+      }
     }
     p.row_kinds[r] = static_cast<std::uint8_t>(kinds);
     // Resolve the bias to its accumulator image once, exactly as the step()
@@ -324,18 +361,33 @@ void MatmulKernel::pack_acts(const std::uint32_t* bits, std::size_t fan_in,
   out.tile = stride;
   out.fan_in = fan_in;
   out.ssig.assign(fan_in * stride, 0);
-  out.sf.assign(fan_in * stride, spec_.zero_sf);
   out.kinds.assign(stride, 0);
+  const bool preshift = spec_.limbs == 1;
+  if (preshift) {
+    out.sf.clear();
+  } else {
+    out.sf.assign(fan_in * stride, spec_.zero_sf);
+  }
+  std::int64_t* ssig = out.ssig.data();
+  std::int64_t* sf = out.sf.data();
+  std::uint8_t* kinds = out.kinds.data();
   const DecodeLut* lut = lut_.get();
+  const int half_bias = spec_.sf_bias / 2;
   for (std::size_t i = 0; i < fan_in; ++i) {
-    std::int64_t* ssig = out.ssig.data() + i * stride;
-    std::int64_t* sf = out.sf.data() + i * stride;
     for (std::size_t s = 0; s < samples; ++s) {
-      const DecodedOp d = lut != nullptr ? (*lut)[bits[i * stride + s] & mask_]
-                                         : decode_operand(bits[i * stride + s], spec_.fmt);
-      ssig[s] = d.ssig;
-      sf[s] = d.sf;
-      out.kinds[s] |= static_cast<std::uint8_t>(d.kind);
+      const std::size_t at = i * stride + s;
+      const DecodedOp d =
+          lut != nullptr ? (*lut)[bits[at] & mask_] : decode_operand(bits[at], spec_.fmt);
+      // No zero test: zero and NaR operands decode with ssig = 0 and a
+      // non-negative shift, so they pre-shift to 0 as they are. A branch
+      // here would mispredict on post-ReLU zeros.
+      if (preshift) {
+        ssig[at] = preshifted(d, half_bias);
+      } else {
+        ssig[at] = d.ssig;
+        sf[at] = d.sf;
+      }
+      kinds[s] |= static_cast<std::uint8_t>(d.kind);
     }
   }
 }

@@ -47,6 +47,20 @@
 //    bit. The same integer, hence the same pattern.
 //  * scalar-blocked — portable fallback, 8-sample tile, same layout, the
 //    accumulators are plain accum.hpp policy values (all three widths).
+//
+// One-limb specs (KernelSpec::limbs == 1, every kernel on an int64 register)
+// take the shift out of the inner loop. pack_plane and pack_acts store each
+// operand pre-shifted by its own half of the product shift,
+//
+//     w' = ssig_w << (sf_w + sf_bias/2),   a' = ssig_a << (sf_a + sf_bias/2)
+//
+// so w' * a' == (ssig_w * ssig_a) << (sf_w + sf_a + sf_bias): the same
+// integer term, one multiply-add per MAC. make_kernel_spec proves that
+// sf_bias is even, that both half-shifts are non-negative and that
+// need_bits <= 62 keeps every pre-shifted operand within 2^30, so it fits the
+// int32 operand of the AVX2 multiply. Wider specs keep the (ssig, shift)
+// layout above.
+//
 // DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") forces the
 // portable kernel regardless of CPU support — the no-rebuild cross-check
 // knob CI's forced-scalar leg sets.
@@ -116,16 +130,18 @@ struct KernelSpec {
   std::uint32_t fixed_mask = 0;   ///< fixed pattern mask
 };
 
-/// A weight plane re-packed for the blocked kernels: per-element signed
-/// significands and pre-biased shifts (sf + sf_bias) as int32 SoA, the
-/// OR-reduced DecodedOp kind per row, and the bias pre-resolved to its
-/// integer accumulator image (ssig, shift, NaR flag). Built once at
+/// A weight plane re-packed for the blocked kernels: per-element operands
+/// as int32 SoA, the OR-reduced DecodedOp kind per row, and the bias
+/// pre-resolved to its integer accumulator image (ssig, shift, NaR flag).
+/// One-limb specs store the pre-shifted operand w' (header comment) and no
+/// shifts, 4 B a weight; wider specs the signed significand and its
+/// pre-biased shift (sf + sf_bias), 8 B a weight. Built once at
 /// runtime::Model construction, immutable and shareable after.
 struct PackedPlane {
   std::size_t rows = 0;
   std::size_t k = 0;
-  std::vector<std::int32_t> ssig;       ///< [r*k + i]
-  std::vector<std::int32_t> shift;      ///< [r*k + i], sf + sf_bias
+  std::vector<std::int32_t> ssig;       ///< [r*k + i]; one limb: w'
+  std::vector<std::int32_t> shift;      ///< [r*k + i], sf + sf_bias; one limb: empty
   std::vector<std::uint8_t> row_kinds;  ///< [r], OR of the row's op kinds
   std::vector<std::int64_t> bias_ssig;  ///< [r], signed significand (or raw)
   std::vector<std::int32_t> bias_shift; ///< [r]
@@ -133,15 +149,16 @@ struct PackedPlane {
 };
 
 /// One tile of activations in lane-interleaved SoA layout: element i of
-/// sample s sits at [i*tile + s]. Lanes >= samples are padded with
-/// (ssig = 0, sf = zero_sf) so a SIMD kernel may process whole lane groups
-/// without masking — padded lanes contribute exactly nothing. kinds[s] is
-/// the OR of sample s's op kinds over the whole vector.
+/// sample s sits at [i*tile + s]. One-limb specs store the pre-shifted
+/// operand a' (header comment) and leave sf empty. Lanes >= samples are
+/// padded with ssig = 0 (and sf = zero_sf) so a SIMD kernel may process
+/// whole lane groups without masking — padded lanes contribute exactly
+/// nothing. kinds[s] is the OR of sample s's op kinds over the whole vector.
 struct ActTile {
   std::size_t tile = 0;     ///< lane stride (>= samples packed)
   std::size_t fan_in = 0;
-  std::vector<std::int64_t> ssig;   ///< [i*tile + s]
-  std::vector<std::int64_t> sf;     ///< [i*tile + s]
+  std::vector<std::int64_t> ssig;   ///< [i*tile + s]; one limb: a'
+  std::vector<std::int64_t> sf;     ///< [i*tile + s]; one limb: empty
   std::vector<std::uint8_t> kinds;  ///< [s]
 };
 

@@ -5,18 +5,22 @@
 // the rest of the library stays baseline-ISA.
 //
 // Exactness: _mm256_mul_epi32 multiplies the (sign-correct) low 32 bits of
-// each lane — every ssig fits int32 for n <= 32 formats — and
-// _mm256_sllv_epi64 applies the per-lane shift. With one limb
-// (spec.need_bits <= 62) each lane performs the same int64 shift-and-add
-// recurrence as AccKulisch64::add_product and no partial sum ever wraps.
-// With two limbs (kernel.hpp) the lo limb adds prod << shift mod 2^64 —
-// sllv returns 0 for counts past 63, which is that product mod 2^64 — and
-// the hi limb adds prod << (shift - T): a shift below T makes the count
-// negative, it wraps to a huge unsigned count and sllv returns 0, so the
-// hi limb only ever sees the shift >= T terms. join_kernel_limbs rebuilds
-// the exact register from the pair. Either way the spilled lanes equal the
-// scalar kernel's registers bit for bit and the shared readout produces
-// the identical patterns (tests/emac/kernel_differential_test.cpp).
+// each lane into an exact int64 product.
+//  * One limb (spec.need_bits <= 62): both operands come pre-shifted
+//    (kernel.hpp), each within 2^30 as make_kernel_spec proves, so
+//    _mm256_set1_epi32 broadcasts the weight into every lane's low half and
+//    one mul_epi32 + add_epi64 per 4 lanes adds the same term
+//    AccKulisch64::add_product adds; no partial sum ever wraps.
+//  * Two limbs (kernel.hpp): ssig fits int32 for n <= 32 formats and
+//    _mm256_sllv_epi64 applies the per-lane shift. The lo limb adds
+//    prod << shift mod 2^64 — sllv returns 0 for counts past 63, which is
+//    that product mod 2^64 — and the hi limb adds prod << (shift - T): a
+//    shift below T makes the count negative, it wraps to a huge unsigned
+//    count and sllv returns 0, so the hi limb only ever sees the shift >= T
+//    terms. join_kernel_limbs rebuilds the exact register from the pair.
+// Either way the spilled lanes equal the scalar kernel's registers bit for
+// bit and the shared readout produces the identical patterns
+// (tests/emac/kernel_differential_test.cpp).
 
 #include "emac/kernel.hpp"
 
@@ -71,23 +75,41 @@ class Avx2Kernel final : public MatmulKernel {
         for (std::size_t g = 0; g < groups; ++g) hi[g] = _mm256_set1_epi64x(bias_hi);
       }
       const std::int32_t* ws = w.ssig.data() + r * k;
-      const std::int32_t* wsh = w.shift.data() + r * k;
-      for (std::size_t i = 0; i < k; ++i) {
-        const __m256i wss = _mm256_set1_epi64x(ws[i]);
-        const __m256i wshv = _mm256_set1_epi64x(wsh[i]);
-        const std::int64_t* as = acts.ssig.data() + i * stride;
-        const std::int64_t* af = acts.sf.data() + i * stride;
-        for (std::size_t g = 0; g < groups; ++g) {
-          const __m256i a =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(as + 4 * g));
-          const __m256i sh = _mm256_add_epi64(
-              wshv, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(af + 4 * g)));
-          // Shift counts are non-negative for live and padded lanes alike
-          // (pads carry ssig = 0, sf = zero_sf; see kernel.hpp). One limb:
-          // they are <= 61, so sllv never zeroes a nonzero product.
-          const __m256i prod = _mm256_mul_epi32(wss, a);
-          acc[g] = _mm256_add_epi64(acc[g], _mm256_sllv_epi64(prod, sh));
-          if constexpr (Limbs == 2) {
+      if constexpr (Limbs == 1) {
+        // A compile-time group count keeps the accumulators in registers.
+        const auto mac = [&]<std::size_t G>() {
+          for (std::size_t i = 0; i < k; ++i) {
+            const __m256i wv = _mm256_set1_epi32(ws[i]);
+            const std::int64_t* as = acts.ssig.data() + i * stride;
+            for (std::size_t g = 0; g < G; ++g) {
+              const __m256i a =
+                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(as + 4 * g));
+              acc[g] = _mm256_add_epi64(acc[g], _mm256_mul_epi32(wv, a));
+            }
+          }
+        };
+        switch (groups) {
+          case 1: mac.template operator()<1>(); break;
+          case 2: mac.template operator()<2>(); break;
+          case 3: mac.template operator()<3>(); break;
+          default: mac.template operator()<4>(); break;
+        }
+      } else {
+        const std::int32_t* wsh = w.shift.data() + r * k;
+        for (std::size_t i = 0; i < k; ++i) {
+          const __m256i wss = _mm256_set1_epi64x(ws[i]);
+          const __m256i wshv = _mm256_set1_epi64x(wsh[i]);
+          const std::int64_t* as = acts.ssig.data() + i * stride;
+          const std::int64_t* af = acts.sf.data() + i * stride;
+          for (std::size_t g = 0; g < groups; ++g) {
+            const __m256i a =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(as + 4 * g));
+            const __m256i sh = _mm256_add_epi64(
+                wshv, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(af + 4 * g)));
+            // Shift counts are non-negative for live and padded lanes alike
+            // (pads carry ssig = 0, sf = zero_sf; see kernel.hpp).
+            const __m256i prod = _mm256_mul_epi32(wss, a);
+            acc[g] = _mm256_add_epi64(acc[g], _mm256_sllv_epi64(prod, sh));
             const __m256i sh_hi = _mm256_sub_epi64(sh, _mm256_set1_epi64x(split));
             hi[g] = _mm256_add_epi64(hi[g], _mm256_sllv_epi64(prod, sh_hi));
           }

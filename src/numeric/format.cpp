@@ -126,6 +126,24 @@ std::vector<std::uint32_t> convert_table(const Format& from, const Format& to) {
   return table;
 }
 
+ReluRule relu_rule(const Format& fmt) {
+  switch (fmt.kind()) {
+    case Kind::kPosit: {
+      const PositFormat& f = fmt.posit();
+      return {f.mask(), f.nar_pattern(), f.nar_pattern()};
+    }
+    case Kind::kFloat: {
+      const FloatFormat& f = fmt.flt();
+      return {f.mask(), std::uint32_t{1} << (f.n() - 1), 0};
+    }
+    case Kind::kFixed: {
+      const FixedFormat& f = fmt.fixed();
+      return {f.mask(), std::uint32_t{1} << (f.n - 1), 0};
+    }
+  }
+  throw std::logic_error("relu_rule: bad kind");
+}
+
 std::vector<Format> paper_format_grid(int n) {
   std::vector<Format> out;
   for (int es = 0; es <= 3 && es <= n - 4; ++es) {

@@ -62,6 +62,26 @@ std::uint32_t convert(std::uint32_t bits, const Format& from, const Format& to);
 /// from's width (size() - 1 is that mask).
 std::vector<std::uint32_t> convert_table(const Format& from, const Format& to);
 
+/// Bit-level ReLU with the format resolved once: in every family the
+/// negative patterns are exactly those with the sign bit set — posit NaR
+/// excepted, which passes through — and +0 is the all-zeros pattern. So a
+/// rule is one mask and one compare per element: negatives (float -0
+/// included) become +0, everything else is returned masked to the width.
+struct ReluRule {
+  std::uint32_t mask = 0;  ///< the format's pattern mask
+  std::uint32_t sign = 0;  ///< its sign bit
+  /// The one sign-bit pattern that passes: posit NaR. 0 for float and fixed,
+  /// which no sign-bit pattern equals.
+  std::uint32_t keep = 0;
+
+  std::uint32_t operator()(std::uint32_t bits) const {
+    bits &= mask;
+    return (bits & sign) != 0 && bits != keep ? 0 : bits;
+  }
+};
+
+ReluRule relu_rule(const Format& fmt);
+
 /// The format grid evaluated by the paper for a given total width n:
 /// posit es in {0..3} (es < n-3 so at least 1 fraction bit), float we in
 /// {2..5} (wf >= 1), fixed q in {1..n-2}.

@@ -58,29 +58,6 @@ std::shared_ptr<const Model> Model::load(const std::string& path) {
   return create(nn::load_quantized(path));
 }
 
-std::uint32_t Model::relu(std::uint32_t bits, const num::Format& fmt) {
-  switch (fmt.kind()) {
-    case num::Kind::kPosit: {
-      const auto& f = fmt.posit();
-      bits &= f.mask();
-      if (bits == f.nar_pattern()) return bits;  // NaR passes through
-      // Negative iff the sign bit is set (and not NaR).
-      return ((bits >> (f.n - 1)) & 1u) ? f.zero_pattern() : bits;
-    }
-    case num::Kind::kFloat: {
-      const auto& f = fmt.flt();
-      bits &= f.mask();
-      // Clear negatives (including -0) to +0.
-      return ((bits >> (f.we + f.wf)) & 1u) ? num::float_zero(f) : bits;
-    }
-    case num::Kind::kFixed: {
-      const auto& f = fmt.fixed();
-      return num::fixed_raw(bits, f) < 0 ? num::fixed_from_raw(0, f) : (bits & f.mask());
-    }
-  }
-  throw std::logic_error("runtime::Model::relu: bad kind");
-}
-
 std::uint32_t Model::to_layer_format(std::size_t li, std::uint32_t bits) const {
   const std::vector<std::uint32_t>& table = convert_tables_[li];
   if (!table.empty()) return table[bits & (table.size() - 1)];
@@ -182,10 +159,13 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
         }
       }
     }
+    // ReLU with the format resolved once per layer (num::ReluRule), for
+    // kernel and step-fallback layers alike.
     if (layer.activation == nn::Activation::kReLU) {
+      const num::ReluRule relu = num::relu_rule(fmt);
       for (std::size_t j = 0; j < layer.fan_out; ++j) {
         std::uint32_t* lane = next.data() + j * tile;
-        for (std::size_t s = 0; s < nrows; ++s) lane[s] = relu(lane[s], fmt);
+        for (std::size_t s = 0; s < nrows; ++s) lane[s] = relu(lane[s]);
       }
     }
     bits.swap(next);
@@ -201,6 +181,18 @@ std::size_t Model::macs_per_inference() const {
   std::size_t macs = 0;
   for (const auto& layer : net_.layers) macs += layer.fan_in * layer.fan_out;
   return macs;
+}
+
+double Model::packed_bytes_per_weight() const {
+  std::size_t bytes = 0;
+  std::size_t weights = 0;
+  for (std::size_t li = 0; li < kernels_.size(); ++li) {
+    if (kernels_[li] == nullptr) continue;
+    const emac::PackedPlane& p = packed_planes_[li];
+    bytes += (p.ssig.size() + p.shift.size()) * sizeof(std::int32_t);
+    weights += p.rows * p.k;
+  }
+  return weights == 0 ? 0.0 : static_cast<double>(bytes) / static_cast<double>(weights);
 }
 
 }  // namespace dp::runtime

@@ -71,6 +71,11 @@ class Model {
   /// Total number of MAC operations for one inference (for energy models).
   std::size_t macs_per_inference() const;
 
+  /// Bytes of packed weight operands per weight over the layers that run a
+  /// kernel: 4 for one-limb planes (pre-shifted operands), 8 for wider ones
+  /// (significand and shift); 0 when no layer has a kernel.
+  double packed_bytes_per_weight() const;
+
   /// argmax over a row of readout patterns in output_format(): the first
   /// strictly greatest decoded score wins.
   int argmax_bits(std::span<const std::uint32_t> bits) const;
@@ -107,7 +112,6 @@ class Model {
                          TileScratch& scratch, std::uint32_t* out) const;
 
  private:
-  static std::uint32_t relu(std::uint32_t bits, const num::Format& fmt);
   /// Re-encode an activation of layer li - 1 into layer li's format (a
   /// mixed boundary): a table lookup where one was built, else num::convert.
   std::uint32_t to_layer_format(std::size_t li, std::uint32_t bits) const;

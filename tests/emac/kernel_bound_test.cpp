@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -161,23 +162,26 @@ void expect_kernels_match_step(const num::Format& fmt, std::size_t k,
     const std::unique_ptr<MatmulKernel> kern = (*make)(fmt, k);
     ASSERT_NE(kern, nullptr) << fmt.name() << " k=" << k;
     const std::size_t tile = kern->tile();
-    ASSERT_LE(samples, tile) << "test shape must fit one tile";
     const PackedPlane plane = kern->pack_plane(wdec.data(), rows, bias_bits.data());
-    std::vector<std::uint32_t> interleaved(k * tile, 0);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t s = 0; s < samples; ++s) {
-        interleaved[i * tile + s] = act_bits[s * k + i];
+    // Samples past one tile run as further tiles, the last one ragged.
+    for (std::size_t t0 = 0; t0 < samples; t0 += tile) {
+      const std::size_t live = std::min(tile, samples - t0);
+      std::vector<std::uint32_t> interleaved(k * tile, 0);
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t s = 0; s < live; ++s) {
+          interleaved[i * tile + s] = act_bits[(t0 + s) * k + i];
+        }
       }
-    }
-    ActTile acts;
-    kern->pack_acts(interleaved.data(), k, samples, tile, acts);
-    std::vector<std::uint32_t> out(rows * tile, 0xffffffffu);
-    kern->matmul(plane, acts, samples, out.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t s = 0; s < samples; ++s) {
-        ASSERT_EQ(out[r * tile + s], expected[s * rows + r])
-            << fmt.name() << " k=" << k << " kernel=" << kern->name() << " row=" << r
-            << " sample=" << s;
+      ActTile acts;
+      kern->pack_acts(interleaved.data(), k, live, tile, acts);
+      std::vector<std::uint32_t> out(rows * tile, 0xffffffffu);
+      kern->matmul(plane, acts, live, out.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t s = 0; s < live; ++s) {
+          ASSERT_EQ(out[r * tile + s], expected[(t0 + s) * rows + r])
+              << fmt.name() << " k=" << k << " kernel=" << kern->name() << " row=" << r
+              << " sample=" << (t0 + s);
+        }
       }
     }
   }
@@ -359,6 +363,160 @@ TEST(KernelBound, NaRAndZeroInterleavesPropagateExactly) {
           }
         }
       }
+    }
+  }
+}
+
+// --- The one-limb pre-shifted layout -----------------------------------------
+// One-limb specs store every operand as ssig << (sf + sf_bias/2) (kernel.hpp),
+// and the AVX2 kernel multiplies their low 32 bits. make_kernel_spec proves
+// they fit int32; these tests enumerate every pattern to check it, up to the
+// specs whose bound sits exactly at 62 bits.
+
+/// Formats with a one-limb spec at some fan-in: those of the paper grid, plus
+/// wider ones whose 62-bit boundary falls at a small k — posit<10,0> at k = 4095,
+/// posit<11,0> at 63, float<4,13> at 31 and float<4,15> at 1. The two floats
+/// are wider than the 16-bit decode LUT, so they pack through decode_operand.
+std::vector<num::Format> one_limb_formats() {
+  std::vector<num::Format> formats;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      KernelSpec spec(fmt);
+      if (make_kernel_spec(fmt, 1, spec) && spec.limbs == 1) formats.push_back(fmt);
+    }
+  }
+  EXPECT_GE(formats.size(), 20u);
+  formats.emplace_back(num::PositFormat{10, 0});
+  formats.emplace_back(num::PositFormat{11, 0});
+  formats.emplace_back(num::FloatFormat{4, 13});
+  formats.emplace_back(num::FloatFormat{4, 15});
+  formats.emplace_back(num::FixedFormat{16, 8});
+  return formats;
+}
+
+/// The largest k whose spec still takes one limb; 0 if none. make_kernel_spec
+/// only does arithmetic on k, so k may run far past any real fan-in.
+std::size_t largest_one_limb_k(const num::Format& fmt) {
+  std::size_t best = 0;
+  for (int j = 1; j <= 62; ++j) {
+    for (const std::size_t k : {(std::size_t{1} << j) - 1, std::size_t{1} << j}) {
+      KernelSpec spec(fmt);
+      if (make_kernel_spec(fmt, k, spec) && spec.limbs == 1) best = k;
+    }
+  }
+  return best;
+}
+
+TEST(KernelBound, OneLimbPreShiftedOperandsFitInt32AtEveryBoundary) {
+  for (const num::Format& fmt : one_limb_formats()) {
+    SCOPED_TRACE(fmt.name());
+    // Every pattern's pre-shifted operand, with a non-negative half-shift.
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, 1, spec));
+    ASSERT_EQ(spec.limbs, 1);
+    ASSERT_EQ(spec.sf_bias % 2, 0);
+    const std::uint32_t count = std::uint32_t{1} << fmt.total_bits();
+    std::vector<std::uint32_t> patterns(count);
+    std::vector<std::int64_t> want(count);
+    std::int64_t largest = 0;
+    for (std::uint32_t b = 0; b < count; ++b) {
+      const DecodedOp d = decode_operand(b, fmt);
+      const int half_shift = d.sf + spec.sf_bias / 2;
+      ASSERT_GE(half_shift, 0) << "pattern " << b;
+      ASSERT_LE(half_shift, 62) << "pattern " << b;
+      patterns[b] = b;
+      want[b] = static_cast<std::int64_t>(static_cast<i128>(d.ssig) << half_shift);
+      largest = std::max(largest, want[b] < 0 ? -want[b] : want[b]);
+    }
+    EXPECT_LE(largest, std::int64_t{1} << 30);
+
+    // The operands do not depend on k, so the bound holds at the widest
+    // one-limb spec too, where need_bits is exactly 62.
+    const std::size_t k_max = largest_one_limb_k(fmt);
+    KernelSpec edge(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, k_max, edge));
+    EXPECT_EQ(edge.limbs, 1);
+    EXPECT_EQ(edge.need_bits, 62u) << "k=" << k_max;
+
+    // pack_plane and pack_acts store exactly these operands, and nothing else.
+    for (auto* make : {&MatmulKernel::create, &MatmulKernel::create_scalar}) {
+      const auto kern = (*make)(fmt, 1);
+      ASSERT_NE(kern, nullptr);
+      std::vector<DecodedOp> wdec(count);
+      for (std::uint32_t b = 0; b < count; ++b) wdec[b] = decode_operand(b, fmt);
+      const std::vector<std::uint32_t> bias(count, 0);
+      const PackedPlane plane = kern->pack_plane(wdec.data(), count, bias.data());
+      EXPECT_TRUE(plane.shift.empty()) << kern->name();
+      ActTile acts;
+      kern->pack_acts(patterns.data(), count, 1, 1, acts);
+      EXPECT_TRUE(acts.sf.empty()) << kern->name();
+      for (std::uint32_t b = 0; b < count; ++b) {
+        ASSERT_EQ(plane.ssig[b], want[b]) << kern->name() << " weight pattern " << b;
+        ASSERT_EQ(acts.ssig[b], want[b]) << kern->name() << " activation pattern " << b;
+      }
+    }
+  }
+}
+
+TEST(KernelBound, OneLimbEdgeAllMaxMagnitudeRowsMatchStep) {
+  // At the largest one-limb k of the formats whose edge is small, every
+  // product at the format's largest magnitude: the partial sums climb to the
+  // top of the 62-bit bound, through the dispatched and the scalar kernel.
+  for (const num::Format& fmt : {num::Format{num::PositFormat{10, 0}},
+                                 num::Format{num::PositFormat{11, 0}},
+                                 num::Format{num::FloatFormat{4, 13}},
+                                 num::Format{num::FloatFormat{4, 15}}}) {
+    SCOPED_TRACE(fmt.name());
+    const std::size_t k = largest_one_limb_k(fmt);
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, k, spec));
+    ASSERT_EQ(spec.need_bits, 62u) << "k=" << k;
+    const Extremes e = find_extremes(fmt);
+    const u128 prod = product_image(spec, e.max_mag, e.max_mag);
+    const auto scalar = MatmulKernel::create_scalar(fmt, k);
+    ASSERT_NE(scalar, nullptr);
+    const u128 top = static_cast<u128>(k) * prod + bias_image(*scalar, e.max_mag);
+    EXPECT_LT(top, static_cast<u128>(1) << 61);
+    // The sum really is near the edge: within 4 bits of it.
+    EXPECT_GE(bit_width_u128(top), 57);
+
+    const std::vector<std::uint32_t> weights(2 * k, e.max_mag);
+    const std::vector<std::uint32_t> bias{e.max_mag, e.min_val};
+    std::vector<std::uint32_t> acts(3 * k, e.max_mag);
+    for (std::size_t i = 0; i < k; ++i) acts[2 * k + i] = e.min_val;
+    expect_kernels_match_step(fmt, k, weights, bias, acts, 3);
+  }
+}
+
+TEST(KernelBound, ZeroHeavyPostReluTilesMatchStep) {
+  // Post-ReLU activations: three in four are the zero pattern, the rest
+  // non-negative, over a full 16-sample tile at the benchmark's fan-in. Zeros
+  // pack to a 0 operand with no branch; they must contribute nothing.
+  const std::size_t k = 128;
+  const std::size_t samples = kMaxKernelTile;
+  std::uint32_t seed = 1501;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      KernelSpec spec(fmt);
+      ASSERT_TRUE(make_kernel_spec(fmt, k, spec));
+      if (spec.limbs != 1) continue;
+      SCOPED_TRACE(fmt.name());
+      std::mt19937 rng(seed++);
+      const std::uint32_t mask = (1u << fmt.total_bits()) - 1u;
+      const num::ReluRule relu = num::relu_rule(fmt);
+      std::vector<std::uint32_t> weights(3 * k);
+      for (std::uint32_t& w : weights) w = rng() & mask;
+      const std::vector<std::uint32_t> bias{static_cast<std::uint32_t>(rng()) & mask,
+                                            zero_pattern(fmt),
+                                            static_cast<std::uint32_t>(rng()) & mask};
+      std::vector<std::uint32_t> acts(samples * k);
+      std::size_t zeros = 0;
+      for (std::uint32_t& a : acts) {
+        a = rng() % 4 == 0 ? relu(rng() & mask) : zero_pattern(fmt);
+        zeros += a == 0 ? 1 : 0;
+      }
+      EXPECT_GE(zeros, acts.size() / 2);
+      expect_kernels_match_step(fmt, k, weights, bias, acts, samples);
     }
   }
 }

@@ -216,5 +216,45 @@ TEST(PositConvert, AcrossEsValues) {
   }
 }
 
+/// ReLU by value: a negative value or -0 becomes the +0 pattern, posit NaR
+/// passes through, everything else is unchanged. A float NaN has no value
+/// sign (to_double drops it), so its sign bit decides, as IEEE signbit reads
+/// it.
+std::uint32_t relu_by_value(std::uint32_t bits, const Format& fmt) {
+  const std::uint32_t plus_zero = fmt.from_double(0.0);
+  const double v = fmt.to_double(bits);
+  if (std::isnan(v)) {
+    if (fmt.kind() == Kind::kPosit) return bits;
+    return ((bits >> (fmt.total_bits() - 1)) & 1u) != 0 ? plus_zero : bits;
+  }
+  return v < 0 || (v == 0 && std::signbit(v)) ? plus_zero : bits;
+}
+
+void expect_relu_rule_on_every_pattern(const Format& fmt) {
+  SCOPED_TRACE(fmt.name());
+  const ReluRule relu = relu_rule(fmt);
+  const std::uint32_t mask = (std::uint32_t{1} << fmt.total_bits()) - 1u;
+  for (std::uint32_t b = 0; b <= mask; ++b) {
+    const std::uint32_t want = relu_by_value(b, fmt);
+    ASSERT_EQ(relu(b), want) << "pattern " << b;
+    // Bits above the format width are ignored.
+    ASSERT_EQ(relu(b | ~mask), want) << "pattern " << b << " with high bits set";
+  }
+}
+
+TEST(FormatRelu, RuleMatchesTheValueDefinitionOnEveryPattern) {
+  for (int n = 3; n <= 16; ++n) {
+    for (int es = 0; es <= 3; ++es) expect_relu_rule_on_every_pattern(PositFormat{n, es});
+  }
+  for (int we = 2; we <= 8; ++we) {
+    for (int wf = 1; 1 + we + wf <= 16; ++wf) {
+      expect_relu_rule_on_every_pattern(FloatFormat{we, wf});
+    }
+  }
+  for (int n = 2; n <= 16; ++n) {
+    for (int q = 0; q < n; ++q) expect_relu_rule_on_every_pattern(FixedFormat{n, q});
+  }
+}
+
 }  // namespace
 }  // namespace dp::num

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <future>
 #include <random>
@@ -184,6 +185,69 @@ TEST(BlockedSession, StepFallbackLayersMatchStepOracleAcrossPools) {
       }
     }
   }
+}
+
+TEST(BlockedSession, ReluLayerSeesEveryPatternAndMatchesStepOracle) {
+  // One ReLU layer with fan-in 1, a zero bias and one row per weight
+  // pattern: the input 1.0 makes each neuron's exact sum its own weight, -1.0
+  // its negation, so the ReLU sees every pattern of the format (NaR and both
+  // zeros included). posit<16,2> has no kernel and runs the step fallback;
+  // the others run their kernels.
+  for (const num::Format& fmt :
+       {num::Format{num::PositFormat{16, 2}}, num::Format{num::PositFormat{8, 0}},
+        num::Format{num::FloatFormat{4, 3}}, num::Format{num::FixedFormat{8, 6}}}) {
+    SCOPED_TRACE(fmt.name());
+    const std::size_t count = std::size_t{1} << fmt.total_bits();
+    nn::QuantizedNetwork qnet{fmt, {}};
+    nn::QuantizedLayer layer;
+    layer.fan_in = 1;
+    layer.fan_out = count;
+    layer.activation = nn::Activation::kReLU;
+    for (std::size_t b = 0; b < count; ++b) layer.weights.push_back(static_cast<std::uint32_t>(b));
+    layer.bias.assign(count, fmt.from_double(0.0));
+    qnet.layers.push_back(std::move(layer));
+    const auto model = Model::create(qnet);
+    if (fmt.total_bits() == 16) {
+      EXPECT_STREQ(model->kernel_name(), "step");
+    }
+
+    const std::vector<double> xs{1.0, -1.0};
+    const BatchView rows(xs, 1);
+    const std::vector<std::uint32_t> want = testing::step_forward_rows(qnet, rows);
+    Session session(model, {2});
+    EXPECT_EQ(session.forward_bits(rows).data, want);
+    const num::ReluRule relu = num::relu_rule(fmt);
+    for (std::size_t b = 0; b < count; ++b) {
+      // Row 0 hands each weight to the ReLU as it is — bar float Inf/NaN
+      // patterns, which the EMAC reads as finite and saturates.
+      if (fmt.kind() == num::Kind::kFloat && !std::isfinite(fmt.to_double(b))) continue;
+      ASSERT_EQ(want[b], relu(static_cast<std::uint32_t>(b))) << "pattern " << b;
+    }
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      const auto got = session.forward_bits(rows.row(r));
+      ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                std::vector<std::uint32_t>(want.begin() + static_cast<std::ptrdiff_t>(r * count),
+                                           want.begin() +
+                                               static_cast<std::ptrdiff_t>((r + 1) * count)))
+          << "row " << r;
+    }
+  }
+}
+
+TEST(BlockedSession, PackedPlanesTakeFourBytesPerWeightOnOneLimb) {
+  // One-limb kernels keep one pre-shifted int32 operand a weight; the
+  // two-limb kernel keeps significand and shift; a model with no kernel
+  // packs nothing.
+  const nn::Mlp net = random_net();
+  EXPECT_EQ(Model(nn::quantize(net, num::Format{num::PositFormat{8, 0}})).packed_bytes_per_weight(),
+            4.0);
+  EXPECT_EQ(Model(nn::quantize(net, num::Format{num::FixedFormat{8, 6}})).packed_bytes_per_weight(),
+            4.0);
+  EXPECT_EQ(Model(nn::quantize(net, num::Format{num::PositFormat{8, 1}})).packed_bytes_per_weight(),
+            8.0);
+  EXPECT_EQ(
+      Model(nn::quantize(net, num::Format{num::PositFormat{16, 2}})).packed_bytes_per_weight(),
+      0.0);
 }
 
 TEST(BlockedSession, SingleRowsMatchStepOracleForEveryRepFormat) {

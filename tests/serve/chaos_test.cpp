@@ -458,24 +458,31 @@ TEST(Resilience, RateLimitAnswersOverloadedWithoutTouchingABatcher) {
 }
 
 TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
-  // A deliberately slow single-dispatcher server: a burst of v3 requests
-  // with a small budget must come back as a few kOk (served within budget)
-  // and the rest kDeadlineExceeded (shed while queued) — and the sheds must
-  // be visible in stats and on the metrics page.
+  // Ordering, not CPU speed, decides which requests fit their budget. The
+  // head of the burst has no deadline, so the single dispatcher holds the
+  // whole queue until the head's max_wait flush (max_batch is above the
+  // burst, so no size flush comes first). The tail's budget is far shorter
+  // than that wait: every tail request has expired when the flush carves it
+  // (only a client that took nearly all of max_wait to write the burst could
+  // land a tail request inside its budget). So exactly the head is served and the
+  // tail is shed while queued — visible in stats and on the metrics page.
+  constexpr auto kMaxWait = 250ms;
+  constexpr std::uint64_t kTailBudgetUs = 10000;  // 25x shorter than kMaxWait
   const auto model = heavy_model();
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(1, dim, 61);
   ServerOptions opts;
-  opts.batcher.max_batch = 1;
-  opts.batcher.max_wait = 100us;
+  constexpr std::size_t kBurst = 32;
+  opts.batcher.max_batch = 2 * kBurst;
+  opts.batcher.max_wait = kMaxWait;
   opts.batcher.dispatchers = 1;
   Server server(model, opts);
 
   Client client = server.connect();
-  constexpr std::size_t kBurst = 32;
   std::vector<std::uint64_t> ids;
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    ids.push_back(client.send(row(xs, dim, 0), /*deadline_budget_us=*/4000));
+  ids.push_back(client.send(row(xs, dim, 0), /*deadline_budget_us=*/0));
+  for (std::size_t i = 1; i < kBurst; ++i) {
+    ids.push_back(client.send(row(xs, dim, 0), kTailBudgetUs));
   }
   std::size_t ok = 0, shed = 0;
   for (const std::uint64_t id : ids) {
@@ -490,10 +497,13 @@ TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
     }
   }
   EXPECT_EQ(ok + shed, kBurst);
-  EXPECT_GT(ok, 0u) << "at least the head of the burst fits its budget";
-  EXPECT_GT(shed, 0u) << "a 4ms budget cannot cover a 32-deep queue of this model";
+  EXPECT_EQ(ok, 1u) << "only the head, which has no deadline, is served";
+  EXPECT_EQ(shed, kBurst - 1) << "a 10 ms budget cannot outlast the head's 250 ms max_wait";
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.batcher.deadline_exceeded, shed);
+  // Dead-on-arrival sheds (DynamicBatcher::submit) count in
+  // deadline_exceeded but not in accepted, so this also checks that none
+  // happened: the tail's budget leaves the server 10 ms to submit it.
   EXPECT_EQ(stats.batcher.accepted, stats.batcher.completed + stats.batcher.deadline_exceeded);
   const std::string page = server.metrics_text();
   EXPECT_NE(page.find("dp_model_deadline_exceeded"), std::string::npos);
