@@ -37,6 +37,7 @@
 // routes nothing and refuses further loads — hand each Server its own
 // registry.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,33 +59,28 @@ class ModelRegistry {
   /// constructed with `lanes` > 1 gives every entry that many independent
   /// admission lanes — identical DynamicBatchers over the one shared model —
   /// so N server shards can submit without contending on a single admission
-  /// lock. `batcher` is lane 0, kept as a plain member so single-lane callers
-  /// (and the existing tests) read naturally; lane(i) is the general form.
+  /// lock.
   struct Entry {
     Entry(std::string name, std::shared_ptr<const runtime::Model> model,
           const BatcherOptions& opts, std::size_t lanes = 1)
-        : name(std::move(name)), model(std::move(model)), batcher(this->model, opts) {
-      for (std::size_t i = 1; i < lanes; ++i) {
-        extra_.push_back(std::make_unique<DynamicBatcher>(this->model, opts));
+        : name(std::move(name)), model(std::move(model)) {
+      for (std::size_t i = 0; i < std::max<std::size_t>(lanes, 1); ++i) {
+        lanes_.push_back(std::make_unique<DynamicBatcher>(this->model, opts));
       }
     }
 
     const std::string name;
     const std::shared_ptr<const runtime::Model> model;
-    DynamicBatcher batcher;  ///< lane 0
 
     /// Admission lanes on this entry (>= 1).
-    std::size_t lanes() const { return 1 + extra_.size(); }
+    std::size_t lanes() const { return lanes_.size(); }
     /// Lane i's batcher; i wraps modulo lanes(), so a shard may index by its
     /// own number without knowing the registry's lane count.
-    DynamicBatcher& lane(std::size_t i) {
-      const std::size_t k = i % lanes();
-      return k == 0 ? batcher : *extra_[k - 1];
-    }
+    DynamicBatcher& lane(std::size_t i) { return *lanes_[i % lanes_.size()]; }
 
    private:
     friend class ModelRegistry;
-    std::vector<std::unique_ptr<DynamicBatcher>> extra_;  // lanes 1..N-1
+    std::vector<std::unique_ptr<DynamicBatcher>> lanes_;
     std::size_t pinned_ = 0;  // outstanding leases; guarded by the registry mutex
   };
 

@@ -23,9 +23,42 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Compact a connection's read buffer once this much parsed prefix
 /// accumulates (otherwise only when it empties).
 constexpr std::size_t kCompactAt = 64 * 1024;
-/// Loop tick while responses are queued but unsendable (socket full) or a
-/// stop is in progress: bounds how stale a write-stall verdict can be.
+/// Read-side backpressure marks: a connection with this many reply bytes
+/// queued stops being read until its queue falls below kResumeReadBelow.
+/// A client that never reads its replies then fills its own socket buffer
+/// and blocks on send, so what it can make the server buffer is bounded by
+/// bytes, and write_timeout judges a connection that is provably stuck.
+constexpr std::size_t kPauseReadAt = 64 * 1024;
+constexpr std::size_t kResumeReadBelow = 32 * 1024;
+/// Loop tick while responses are queued but unsendable (socket full), a
+/// listener is backing off, or a stop is in progress: bounds how stale a
+/// write-stall verdict can be.
 constexpr int kTickMs = 20;
+
+/// Every per-shard counter, in metrics-page order. Server::stats() sums
+/// shards through it, drain_rbuf folds a read chunk's tally through it, and
+/// metrics_text() renders one `name{shard="i"}` line per row.
+struct ShardCounter {
+  const char* name;
+  std::uint64_t ShardStats::* field;
+};
+constexpr ShardCounter kShardCounters[] = {
+    {"dp_shard_connections", &ShardStats::connections},
+    {"dp_shard_frames_in", &ShardStats::frames_in},
+    {"dp_shard_frames_out", &ShardStats::frames_out},
+    {"dp_shard_bad_frames", &ShardStats::bad_frames},
+    {"dp_shard_bad_requests", &ShardStats::bad_requests},
+    {"dp_shard_not_found", &ShardStats::not_found},
+    {"dp_shard_dropped", &ShardStats::dropped},
+    {"dp_shard_overloaded", &ShardStats::overloaded},
+    {"dp_shard_rate_limited", &ShardStats::rate_limited},
+    {"dp_shard_metrics_scrapes", &ShardStats::metrics_scrapes},
+    {"dp_shard_read_paused", &ShardStats::read_paused},
+};
+
+void add(ShardStats& into, const ShardStats& from) {
+  for (const ShardCounter& c : kShardCounters) into.*c.field += from.*c.field;
+}
 
 /// Metrics page bytes -> the u32 payload of its kResponse frame: packed
 /// little-endian, NUL-padded up to the next word (Client::metrics strips
@@ -216,20 +249,7 @@ Client Server::connect(const std::string& model_name) {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->m);
-    const ShardStats& c = sh->counters;
-    s.connections += c.connections;
-    s.frames_in += c.frames_in;
-    s.frames_out += c.frames_out;
-    s.bad_frames += c.bad_frames;
-    s.bad_requests += c.bad_requests;
-    s.not_found += c.not_found;
-    s.dropped += c.dropped;
-    s.overloaded += c.overloaded;
-    s.rate_limited += c.rate_limited;
-    s.metrics_scrapes += c.metrics_scrapes;
-  }
+  for (const ShardStats& shard : shard_stats()) add(s, shard);
   if (const std::optional<BatcherStats> b = registry_->stats("")) s.batcher = *b;
   return s;
 }
@@ -263,18 +283,10 @@ std::string Server::metrics_text() const {
   append_gauge(out, "dp_requests_per_second", "",
                up > 0 ? static_cast<double>(requests_total) / up : 0.0);
   for (std::size_t i = 0; i < per_shard.size(); ++i) {
-    const ShardStats& s = per_shard[i];
     const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
-    append_counter(out, "dp_shard_connections", label, s.connections);
-    append_counter(out, "dp_shard_frames_in", label, s.frames_in);
-    append_counter(out, "dp_shard_frames_out", label, s.frames_out);
-    append_counter(out, "dp_shard_bad_frames", label, s.bad_frames);
-    append_counter(out, "dp_shard_bad_requests", label, s.bad_requests);
-    append_counter(out, "dp_shard_not_found", label, s.not_found);
-    append_counter(out, "dp_shard_dropped", label, s.dropped);
-    append_counter(out, "dp_shard_overloaded", label, s.overloaded);
-    append_counter(out, "dp_shard_rate_limited", label, s.rate_limited);
-    append_counter(out, "dp_shard_metrics_scrapes", label, s.metrics_scrapes);
+    for (const ShardCounter& c : kShardCounters) {
+      append_counter(out, c.name, label, per_shard[i].*c.field);
+    }
   }
   for (const std::string& name : registry_->names()) {
     const std::optional<BatcherStats> b = registry_->stats(name);
@@ -295,9 +307,9 @@ std::string Server::metrics_text() const {
   return out;
 }
 
-void Server::bump(Shard& sh, std::uint64_t ShardStats::* counter) {
+void Server::bump(Shard& sh, std::uint64_t ShardStats::* counter, std::uint64_t n) {
   std::lock_guard<std::mutex> lk(sh.m);
-  ++(sh.counters.*counter);
+  sh.counters.*counter += n;
 }
 
 // ---------------------------------------------------------------------------
@@ -369,11 +381,19 @@ void Server::loop_main(Shard& sh) {
     }
   } guard{sh};
 
-  // While accept(2) is failing on resource exhaustion, the backlog keeps the
-  // listener readable; excluding it from the poll set until this deadline is
-  // what turns a 100%-CPU spin into a periodic retry.
-  Clock::time_point tcp_backoff{};
-  Clock::time_point metrics_backoff{};
+  // The readiness sources, polled ahead of the connections in this order; a
+  // null transport is the wake pipe. While accept(2) is failing on resource
+  // exhaustion, the backlog keeps a listener readable; leaving it out of the
+  // poll set until `resume` is what turns a 100%-CPU spin into a periodic
+  // retry.
+  struct Source {
+    Transport* transport;
+    bool metrics;
+    Clock::time_point resume{};
+  };
+  std::vector<Source> sources{{nullptr, false}, {&sh.local, false}};
+  if (sh.tcp) sources.push_back({sh.tcp.get(), false});
+  if (sh.metrics) sources.push_back({sh.metrics.get(), true});
 
   for (;;) {
     const bool stopping = stopping_.load();
@@ -381,41 +401,35 @@ void Server::loop_main(Shard& sh) {
 
     // --- build the poll set -----------------------------------------------
     pfds.clear();
-    pfds.push_back({sh.wake_r.fd(), POLLIN, 0});
-    pfds.push_back({sh.local.readiness_fd(), POLLIN, 0});
-    const bool poll_tcp = sh.tcp != nullptr && iter_now >= tcp_backoff;
-    std::size_t idx_tcp = 0;
-    if (poll_tcp) {
-      idx_tcp = pfds.size();
-      pfds.push_back({sh.tcp->readiness_fd(), POLLIN, 0});
+    bool backing_off = false;
+    for (const Source& src : sources) {
+      const int fd = src.transport ? src.transport->readiness_fd() : sh.wake_r.fd();
+      const bool ready = iter_now >= src.resume;
+      backing_off |= !ready;
+      pfds.push_back({ready ? fd : -1, POLLIN, 0});  // poll(2) skips a negative fd
     }
-    const bool poll_metrics = sh.metrics != nullptr && iter_now >= metrics_backoff;
-    std::size_t idx_metrics = 0;
-    if (poll_metrics) {
-      idx_metrics = pfds.size();
-      pfds.push_back({sh.metrics->readiness_fd(), POLLIN, 0});
-    }
-    const std::size_t base = pfds.size();
     bool any_wq = false;
     std::size_t request_conns = 0;  // live non-metrics conns; feeds the cap
+    std::uint64_t pauses = 0;
     for (const std::shared_ptr<Conn>& conn : conns) {
       if (!conn->raw) ++request_conns;
       short events = 0;
-      if (!conn->read_done && !stopping) events |= POLLIN;
       {
         std::lock_guard<std::mutex> lk(conn->m);
         if (!conn->wq.empty()) {
           events |= POLLOUT;
           any_wq = true;
         }
+        const bool pause = conn->wq_bytes >= (conn->paused ? kResumeReadBelow : kPauseReadAt);
+        if (pause && !conn->paused) ++pauses;
+        conn->paused = pause;
       }
+      if (!conn->read_done && !stopping && !conn->paused) events |= POLLIN;
       pfds.push_back({conn->stream.fd(), events, 0});
     }
+    if (pauses > 0) bump(sh, &ShardStats::read_paused, pauses);
 
-    int timeout = (stopping || any_wq) ? kTickMs : -1;
-    const bool parked = (sh.tcp != nullptr && !poll_tcp) ||
-                        (sh.metrics != nullptr && !poll_metrics);
-    if (parked && timeout < 0) timeout = kTickMs;  // resume the listener
+    const int timeout = (stopping || any_wq || backing_off) ? kTickMs : -1;
     const int rc = ::poll(pfds.data(), pfds.size(), timeout);
     if (rc < 0 && errno != EINTR) {
       // Unrecoverable poll failure (should not happen): die visibly. Marking
@@ -423,200 +437,45 @@ void Server::loop_main(Shard& sh) {
       // handing out Clients nobody will ever accept, and every live
       // connection runs the normal drop protocol so late batcher callbacks
       // discard their responses instead of queueing into orphaned buffers.
-      for (const std::shared_ptr<Conn>& conn : conns) {
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          conn->closed = true;
-          conn->wq.clear();
-          conn->wq_bytes = 0;
-          conn->wq_front_off = 0;
-        }
-        conn->stream.shutdown_both();
-        conn->stream.close();
-      }
-      {
-        std::lock_guard<std::mutex> lk(sh.m);
-        sh.counters.dropped += conns.size();
-      }
+      for (const std::shared_ptr<Conn>& conn : conns) close_conn(sh, *conn, true);
       std::lock_guard<std::mutex> lk(m_);
       stopped_ = true;
       draining_.store(true);
       return;
     }
 
-    // --- wakeups and new connections --------------------------------------
-    if (pfds[0].revents != 0) {
-      char drain[256];
-      while (sh.wake_r.read_some(drain, sizeof(drain)) > 0) {
+    // --- wakeups and new connections (fresh accepts join the next poll set)
+    const std::size_t present = conns.size();
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (pfds[i].revents == 0) continue;
+      Source& src = sources[i];
+      if (src.transport == nullptr) {
+        char drain[256];
+        while (sh.wake_r.read_some(drain, sizeof(drain)) > 0) {
+        }
+        continue;
       }
-    }
-    if (pfds[1].revents != 0) {
       try {
-        accept_from(sh, sh.local, conns, request_conns, false);
+        accept_from(sh, *src.transport, conns, request_conns, src.metrics);
       } catch (const TransportError&) {
-        // A connection we failed to register is simply lost (its FdStream
-        // closed); the loop itself must survive.
-      }
-    }
-    if (poll_tcp && pfds[idx_tcp].revents != 0) {
-      try {
-        accept_from(sh, *sh.tcp, conns, request_conns, false);
-      } catch (const TransportError&) {
-        // Out of fds (or similar): park the listener and retry shortly.
-        tcp_backoff = Clock::now() + std::chrono::milliseconds(200);
-      }
-    }
-    if (poll_metrics && pfds[idx_metrics].revents != 0) {
-      try {
-        accept_from(sh, *sh.metrics, conns, request_conns, true);
-      } catch (const TransportError&) {
-        metrics_backoff = Clock::now() + std::chrono::milliseconds(200);
+        // Out of fds (or similar): the connection being registered is lost
+        // (its FdStream closed); the loop survives, and the source backs
+        // off before it is polled again.
+        src.resume = Clock::now() + std::chrono::milliseconds(200);
       }
     }
 
-    // --- per-connection readiness (only the conns present in this poll set;
-    // fresh accepts join the next iteration) --------------------------------
-    const std::size_t present = pfds.size() - base;
+    // --- per-connection lifecycle -----------------------------------------
     std::size_t out = 0;  // compaction write cursor over conns[0..present)
     const auto now = Clock::now();
     for (std::size_t i = 0; i < present; ++i) {
       const std::shared_ptr<Conn>& conn = conns[i];
-      const short revents = pfds[base + i].revents;
-      bool alive = true;
-
-      // Read side. POLLHUP can still have readable bytes queued ahead of the
-      // EOF, so treat it as readable and let read_some report the 0.
-      if (alive && !conn->read_done && !stopping &&
-          (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        try {
-          const ssize_t n = conn->stream.read_some(chunk.data(), chunk.size());
-          if (n == 0) {
-            conn->read_done = true;
-          } else if (n > 0) {
-            conn->rbuf.insert(conn->rbuf.end(), chunk.begin(), chunk.begin() + n);
-            alive = drain_rbuf(sh, conn);  // false = framing error: drop
-            if (!alive) bump(sh, &ShardStats::bad_frames);
-          }
-        } catch (const TransportError&) {
-          alive = false;  // reset under us
-        }
+      const Fate fate = service(sh, conn, pfds[sources.size() + i].revents, stopping, now, chunk);
+      if (fate == Fate::kKeep) {
+        conns[out++] = conn;
+      } else {
+        close_conn(sh, *conn, fate == Fate::kDrop);
       }
-
-      // A peer that is fully gone (POLLHUP/POLLERR after we already read its
-      // EOF). If everything was served and flushed this is just a clean
-      // disconnect (e.g. an in-process Client destroyed — AF_UNIX reports
-      // POLLHUP on peer close). Otherwise the remaining work is
-      // undeliverable, and keeping the connection while a batcher callback
-      // is still outstanding would make poll(2) — which reports these
-      // conditions regardless of the events mask — return immediately
-      // forever, spinning the loop: drop it. (outstanding is read before
-      // the queue: callbacks enqueue before they decrement.)
-      if (alive && conn->read_done &&
-          (revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        const bool idle = conn->outstanding.load() == 0;
-        bool wq_empty = false;
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          wq_empty = conn->wq.empty();
-        }
-        if (idle && wq_empty) {
-          conn->stream.shutdown_both();
-          conn->stream.close();
-          continue;  // clean disconnect, not a drop
-        }
-        alive = false;
-      }
-
-      // Write side.
-      if (alive) alive = flush_writes(sh, conn);
-
-      // Stall / overflow verdicts.
-      if (alive) {
-        bool has_wq = false, overflow = false;
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          has_wq = !conn->wq.empty();
-          overflow = conn->overflow;
-        }
-        if (overflow) {
-          alive = false;
-        } else if (!has_wq) {
-          conn->last_progress = now;
-          // Fully served and finished: graceful close once nothing is in
-          // flight. stop() forces the same path for every connection. Order
-          // matters: a completion callback enqueues its response BEFORE
-          // decrementing `outstanding`, so reading outstanding==0 first and
-          // re-checking the queue afterwards can never miss a response that
-          // landed between the two reads (the reverse order could).
-          if ((conn->read_done || stopping) && conn->outstanding.load() == 0) {
-            bool still_empty = false;
-            {
-              std::lock_guard<std::mutex> lk(conn->m);
-              still_empty = conn->wq.empty();
-            }
-            if (still_empty && !conn->read_done) {
-              // stop() parks the read side, so requests pipelined before the
-              // stop may still sit unread in the kernel buffer. close(2) on
-              // a stream socket with unread receive data resets the peer —
-              // destroying responses it has not yet consumed — and silently
-              // discarding the bytes would leave those requests unanswered
-              // (the client would see a clean EOF where a reply belongs).
-              // One final sweep decodes whatever already arrived;
-              // handle_request's draining_ path answers each frame with
-              // kShutdown. The read side is then done for good, preserving
-              // stop()'s termination bound against a client that keeps
-              // sending.
-              try {
-                ssize_t n;
-                while ((n = conn->stream.read_some(chunk.data(), chunk.size())) > 0) {
-                  conn->rbuf.insert(conn->rbuf.end(), chunk.begin(), chunk.begin() + n);
-                  if (!drain_rbuf(sh, conn)) break;  // framing error: close anyway
-                }
-              } catch (const TransportError&) {
-                // Reset under us: nothing left to answer; close below.
-              }
-              conn->read_done = true;
-              {
-                std::lock_guard<std::mutex> lk(conn->m);
-                still_empty = conn->wq.empty();
-              }
-              // If the sweep enqueued kShutdown replies, fall through: the
-              // connection is kept, flushed on the next tick, then closed.
-            }
-            if (still_empty) {
-              conn->stream.shutdown_both();
-              conn->stream.close();
-              continue;  // not kept
-            }
-          }
-        } else {
-          // Stall verdict. write_timeout 0 disables it in steady state, but
-          // stop() must still terminate: a non-reading client would
-          // otherwise pin the drain (and ~Server) forever, so the stopping
-          // phase falls back to a bounded grace period.
-          auto bound = write_timeout_;
-          if (bound.count() == 0 && stopping) bound = std::chrono::milliseconds(5000);
-          if (bound.count() > 0 && now - conn->last_progress > bound) {
-            alive = false;  // peer stopped reading
-          }
-        }
-      }
-
-      if (!alive) {
-        // Drop: discard queued responses, poison future enqueues, close.
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          conn->closed = true;
-          conn->wq.clear();
-          conn->wq_bytes = 0;
-          conn->wq_front_off = 0;
-        }
-        conn->stream.shutdown_both();
-        conn->stream.close();
-        bump(sh, &ShardStats::dropped);
-        continue;  // not kept
-      }
-      conns[out++] = conn;
     }
     // Keep the fresh accepts appended past `present`.
     for (std::size_t i = present; i < conns.size(); ++i) conns[out++] = std::move(conns[i]);
@@ -626,8 +485,118 @@ void Server::loop_main(Shard& sh) {
   }
 }
 
-bool Server::drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn) {
-  FrameTally tally;
+Server::Fate Server::service(Shard& sh, const std::shared_ptr<Conn>& conn, short revents,
+                             bool stopping, Clock::time_point now,
+                             std::vector<std::uint8_t>& chunk) {
+  // Nothing in flight and nothing queued. Order matters: a completion
+  // callback enqueues its response BEFORE decrementing `outstanding`, so
+  // reading outstanding==0 first and the queue afterwards can never miss a
+  // response that landed between the two reads (the reverse order could).
+  const auto settled = [&conn] {
+    if (conn->outstanding.load() != 0) return false;
+    std::lock_guard<std::mutex> lk(conn->m);
+    return conn->wq.empty();
+  };
+
+  // Read side. POLLHUP can still have readable bytes queued ahead of the
+  // EOF, so treat it as readable and let read_some report the 0.
+  if (!conn->read_done && !stopping && !conn->paused &&
+      (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    try {
+      const ssize_t n = conn->stream.read_some(chunk.data(), chunk.size());
+      if (n == 0) {
+        conn->read_done = true;
+      } else if (n > 0 && !drain_rbuf(sh, conn, {chunk.data(), static_cast<std::size_t>(n)})) {
+        bump(sh, &ShardStats::bad_frames);
+        return Fate::kDrop;
+      }
+    } catch (const TransportError&) {
+      return Fate::kDrop;  // reset under us
+    }
+  }
+
+  // A peer that is fully gone (POLLHUP/POLLERR) while its read side is not
+  // polled: its EOF was already read, or reading is paused on a full reply
+  // queue. If everything was served and flushed this is just a clean
+  // disconnect (e.g. an in-process Client destroyed — AF_UNIX reports
+  // POLLHUP on peer close). Otherwise the remaining work is undeliverable,
+  // and keeping the connection would make poll(2) — which reports these
+  // conditions regardless of the events mask — return immediately forever,
+  // spinning the loop: drop it.
+  if ((conn->read_done || conn->paused) &&
+      (revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
+    return settled() ? Fate::kClose : Fate::kDrop;
+  }
+
+  // Write side.
+  if (!flush_writes(sh, conn)) return Fate::kDrop;
+
+  // Overflow / stall verdicts.
+  bool has_wq = false;
+  {
+    std::lock_guard<std::mutex> lk(conn->m);
+    if (conn->overflow) return Fate::kDrop;
+    has_wq = !conn->wq.empty();
+  }
+  if (has_wq) {
+    // write_timeout 0 disables the stall verdict in steady state, but stop()
+    // must still terminate: a non-reading client would otherwise pin the
+    // drain (and ~Server) forever, so the stopping phase falls back to a
+    // bounded grace period.
+    auto bound = write_timeout_;
+    if (bound.count() == 0 && stopping) bound = std::chrono::milliseconds(5000);
+    const bool stalled = bound.count() > 0 && now - conn->last_progress > bound;
+    return stalled ? Fate::kDrop : Fate::kKeep;  // a stall: peer stopped reading
+  }
+  conn->last_progress = now;
+
+  // Fully served and finished: graceful close once nothing is in flight.
+  // stop() forces the same path for every connection.
+  if (!(conn->read_done || stopping) || !settled()) return Fate::kKeep;
+  if (!conn->read_done) {
+    // stop() parks the read side, so requests pipelined before the stop may
+    // still sit unread in the kernel buffer. close(2) on a stream socket
+    // with unread receive data resets the peer — destroying responses it has
+    // not yet consumed — and silently discarding the bytes would leave those
+    // requests unanswered (the client would see a clean EOF where a reply
+    // belongs). One final sweep decodes whatever already arrived;
+    // handle_request's draining_ path answers each frame with kShutdown. The
+    // read side is then done for good, preserving stop()'s termination bound
+    // against a client that keeps sending.
+    try {
+      ssize_t n;
+      while ((n = conn->stream.read_some(chunk.data(), chunk.size())) > 0) {
+        // A framing error ends the sweep: close anyway.
+        if (!drain_rbuf(sh, conn, {chunk.data(), static_cast<std::size_t>(n)})) break;
+      }
+    } catch (const TransportError&) {
+      // Reset under us: nothing left to answer; close below.
+    }
+    conn->read_done = true;
+    // If the sweep enqueued kShutdown replies, keep the connection: it is
+    // flushed on the next tick, then closed.
+    if (!settled()) return Fate::kKeep;
+  }
+  return Fate::kClose;
+}
+
+void Server::close_conn(Shard& sh, Conn& conn, bool dropped) {
+  {
+    std::lock_guard<std::mutex> lk(conn.m);
+    conn.closed = true;
+    conn.wq.clear();
+    conn.wq_bytes = 0;
+    conn.wq_front_off = 0;
+  }
+  conn.stream.shutdown_both();
+  conn.stream.close();
+  if (dropped) bump(sh, &ShardStats::dropped);
+}
+
+bool Server::drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn,
+                        std::span<const std::uint8_t> fresh) {
+  conn->rbuf.insert(conn->rbuf.end(), fresh.begin(), fresh.end());
+  ShardStats tally;
   bool ok = true;
   for (;;) {
     const std::span<const std::uint8_t> avail(conn->rbuf.data() + conn->rbuf_head,
@@ -649,12 +618,7 @@ bool Server::drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn) {
   // deliver dozens of frames per chunk).
   if (tally.frames_in > 0) {
     std::lock_guard<std::mutex> lk(sh.m);
-    sh.counters.frames_in += tally.frames_in;
-    sh.counters.bad_requests += tally.bad_requests;
-    sh.counters.not_found += tally.not_found;
-    sh.counters.overloaded += tally.overloaded;
-    sh.counters.rate_limited += tally.rate_limited;
-    sh.counters.metrics_scrapes += tally.metrics;
+    add(sh.counters, tally);
   }
   if (!ok) return false;
   // An over-cap connection has now been answered: stop reading so the
@@ -672,7 +636,7 @@ bool Server::drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn) {
 }
 
 void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame frame,
-                            FrameTally& tally) {
+                            ShardStats& tally) {
   const std::uint64_t id = frame.request_id;
   if (draining_.load()) {
     enqueue_response(conn, id, Status::kShutdown, {});
@@ -687,7 +651,7 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
       enqueue_response(conn, id, Status::kBadRequest, {});
       return;
     }
-    ++tally.metrics;
+    ++tally.metrics_scrapes;
     const std::vector<std::uint32_t> page = pack_text(metrics_text());
     enqueue_response(conn, id, Status::kOk, page);
     return;
@@ -873,10 +837,7 @@ bool Server::flush_writes(Shard& sh, const std::shared_ptr<Conn>& conn) {
     conn->last_progress = Clock::now();
   }
   // Raw metrics scrapes are text, not frames; they don't count as frames_out.
-  if (completed > 0 && !conn->raw) {
-    std::lock_guard<std::mutex> lk(sh.m);
-    sh.counters.frames_out += completed;
-  }
+  if (completed > 0 && !conn->raw) bump(sh, &ShardStats::frames_out, completed);
   return ok;
 }
 
@@ -1077,18 +1038,7 @@ std::vector<double> Client::forward(std::span<const double> x) {
 int Client::predict(std::span<const double> x) {
   const Reply reply = forward_bits(x);
   if (!reply.ok() || reply.bits.empty()) return -1;
-  // Same recurrence as runtime::Model::argmax_bits: first strictly
-  // greatest decoded score wins, so served predictions match Session ones.
-  int best = 0;
-  double best_score = model_->output_format().to_double(reply.bits[0]);
-  for (std::size_t i = 1; i < reply.bits.size(); ++i) {
-    const double score = model_->output_format().to_double(reply.bits[i]);
-    if (score > best_score) {
-      best = static_cast<int>(i);
-      best_score = score;
-    }
-  }
-  return best;
+  return model_->argmax_bits(reply.bits);
 }
 
 void Client::close() { stream_.shutdown_write(); }

@@ -38,6 +38,10 @@
 //     after their first batch of frames;
 //   * max_inflight_per_connection — a pipelining client past its in-flight
 //     budget gets kOverloaded for the excess instead of queue space;
+//   * read pause — once a connection has 64 KiB of replies queued, its
+//     shard stops reading its requests until the queue falls below 32 KiB,
+//     so a client that stops reading ends up blocked on its own sends
+//     (counted in ShardStats::read_paused);
 //   * max_write_queue_bytes / write_timeout — a connection whose write queue
 //     overflows, or makes no progress (peer stopped reading), is dropped and
 //     its remaining responses discarded;
@@ -152,7 +156,8 @@ struct ServerOptions {
 };
 
 /// Wire- and connection-level counters of ONE shard (Server::shard_stats();
-/// the metrics page renders these per shard).
+/// the metrics page renders these per shard). A new counter is one field
+/// here plus one row in server.cpp's counter table.
 struct ShardStats {
   std::uint64_t connections = 0;     ///< request connections accepted
   std::uint64_t frames_in = 0;       ///< request frames decoded
@@ -164,23 +169,14 @@ struct ShardStats {
   std::uint64_t overloaded = 0;      ///< requests refused by admission control
   std::uint64_t rate_limited = 0;    ///< requests refused by the token bucket
   std::uint64_t metrics_scrapes = 0; ///< metrics pages served (both flavours)
+  std::uint64_t read_paused = 0;     ///< times reading a connection paused on its reply queue
 };
 
 /// Whole-server counters (every ShardStats field summed across shards) plus
 /// the default entry's batcher stats, aggregated across its admission lanes
 /// (per-entry stats for other models: ModelRegistry::stats()).
-struct ServerStats {
-  BatcherStats batcher;              ///< the default registry entry, all lanes
-  std::uint64_t connections = 0;
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t bad_frames = 0;
-  std::uint64_t bad_requests = 0;
-  std::uint64_t not_found = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t overloaded = 0;
-  std::uint64_t rate_limited = 0;
-  std::uint64_t metrics_scrapes = 0;
+struct ServerStats : ShardStats {
+  BatcherStats batcher;  ///< the default registry entry, all lanes
 };
 
 class Client;
@@ -270,6 +266,7 @@ class Server {
     std::vector<std::uint8_t> rbuf;
     std::size_t rbuf_head = 0;  // parsed-prefix offset, compacted periodically
     bool read_done = false;     // EOF seen (or reads abandoned during stop)
+    bool paused = false;        // reply queue past the pause mark: POLLIN off
     bool reject = false;        // over the connection cap: answer kOverloaded
     bool raw = false;           // metrics scrape: wq holds raw text, not frames
     double tokens = 0;          // rate-limit token bucket (loop thread only)
@@ -309,6 +306,9 @@ class Server {
   /// `owned`/`external` is set.
   Server(std::unique_ptr<ModelRegistry> owned, ModelRegistry* external, ServerOptions opts);
 
+  /// What one loop iteration decided for a connection.
+  enum class Fate { kKeep, kClose, kDrop };
+
   void start_loop(Shard& sh);
   void loop_main(Shard& sh);
   void wake(Shard& sh);
@@ -318,22 +318,23 @@ class Server {
   void accept_from(Shard& sh, Transport& transport,
                    std::vector<std::shared_ptr<Conn>>& conns, std::size_t& request_conns,
                    bool metrics_conn);
-  /// Frame counters accumulated across one read chunk, folded into the
-  /// shard's stats under a single lock (never one lock per frame).
-  struct FrameTally {
-    std::uint64_t frames_in = 0;
-    std::uint64_t bad_requests = 0;
-    std::uint64_t not_found = 0;
-    std::uint64_t overloaded = 0;
-    std::uint64_t rate_limited = 0;
-    std::uint64_t metrics = 0;
-  };
-
-  /// Parse and route every complete frame in conn's read buffer. Returns
-  /// false if the connection must be dropped (framing error).
-  bool drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn);
+  /// One iteration of a connection's lifecycle given its poll(2) revents:
+  /// read, flush, then the stall / overflow / graceful-close verdicts.
+  Fate service(Shard& sh, const std::shared_ptr<Conn>& conn, short revents, bool stopping,
+               std::chrono::steady_clock::time_point now, std::vector<std::uint8_t>& chunk);
+  /// The one way a connection leaves its shard: poison the write queue so
+  /// late completions discard their responses, shut the socket, close it,
+  /// and count it in `dropped` when it did not end cleanly.
+  void close_conn(Shard& sh, Conn& conn, bool dropped);
+  /// Append `fresh` bytes to conn's read buffer, then parse and route every
+  /// complete frame in it. Returns false if the connection must be dropped
+  /// (framing error).
+  bool drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn,
+                  std::span<const std::uint8_t> fresh);
+  /// `tally` collects the frame's counters; drain_rbuf folds them into the
+  /// shard's stats under one lock per read chunk, never one lock per frame.
   void handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame frame,
-                      FrameTally& tally);
+                      ShardStats& tally);
   /// Flush as much queued response data as the socket takes right now.
   /// Returns false if the connection died mid-write.
   bool flush_writes(Shard& sh, const std::shared_ptr<Conn>& conn);
@@ -345,7 +346,7 @@ class Server {
   void enqueue_response(const std::shared_ptr<Conn>& conn, std::uint64_t id, Status status,
                         std::span<const std::uint32_t> bits,
                         std::uint8_t encoding = kPayloadEncodingRaw, int width = 0);
-  void bump(Shard& sh, std::uint64_t ShardStats::* counter);
+  void bump(Shard& sh, std::uint64_t ShardStats::* counter, std::uint64_t n = 1);
 
   ModelRegistry* registry_;                          // routing target
   std::unique_ptr<ModelRegistry> owned_registry_;    // single-model constructor
@@ -472,6 +473,10 @@ class Client {
   /// the server closes. Honours recv_timeout, throwing TransportError on
   /// expiry.
   std::optional<Frame> receive_frame();
+
+  /// The connection's stream itself, for callers that drive the socket
+  /// directly (e.g. nonblocking writes that must observe EAGAIN).
+  FdStream& stream() { return stream_; }
 
   /// Half-close: tells the server this client is done sending.
   void close();

@@ -98,7 +98,7 @@ TEST(ServeRegistry, SubmitThroughALeaseMatchesADirectSession) {
 
   ModelRegistry::Lease lease = registry.acquire("m");
   ASSERT_TRUE(lease);
-  std::future<Reply> fut = lease->batcher.submit(x);
+  std::future<Reply> fut = lease->lane(0).submit(x);
   lease.release();
 
   const Reply reply = fut.get();
@@ -121,7 +121,7 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   std::future<Reply> fut;
   {
     ModelRegistry::Lease lease = registry.acquire("m");
-    fut = lease->batcher.submit(x);
+    fut = lease->lane(0).submit(x);
   }
   // Swap. load() must first wait out leases, then drain the old batcher —
   // the parked request is flushed through the OLD model's Session.
@@ -135,7 +135,7 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   // Requests resolved after the swap land on the new model.
   ModelRegistry::Lease lease = registry.acquire("m");
   EXPECT_EQ(lease->model.get(), new_model.get());
-  const Reply fresh = lease->batcher.submit(x).get();
+  const Reply fresh = lease->lane(0).submit(x).get();
   runtime::Session new_direct(new_model);
   const auto want_new = new_direct.forward_bits(std::span<const double>(x));
   EXPECT_EQ(fresh.bits, std::vector<std::uint32_t>(want_new.begin(), want_new.end()));
@@ -183,7 +183,7 @@ TEST(ServeRegistry, UnloadDrainsRemovesAndClearsTheDefault) {
   parked.max_wait = 10s;
   registry.load("m", model, parked);
   const std::vector<double> x = random_row(model->input_dim(), 3);
-  std::future<Reply> fut = registry.acquire("m")->batcher.submit(x);
+  std::future<Reply> fut = registry.acquire("m")->lane(0).submit(x);
 
   EXPECT_FALSE(registry.unload("nope"));
   EXPECT_TRUE(registry.unload("m"));
@@ -207,8 +207,8 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   registry.load("a", model, parked);
   registry.load("b", model, parked);
   const std::vector<double> x = random_row(model->input_dim(), 4);
-  std::future<Reply> fa = registry.acquire("a")->batcher.submit(x);
-  std::future<Reply> fb = registry.acquire("b")->batcher.submit(x);
+  std::future<Reply> fa = registry.acquire("a")->lane(0).submit(x);
+  std::future<Reply> fb = registry.acquire("b")->lane(0).submit(x);
 
   registry.shutdown_all();
   EXPECT_EQ(fa.get().status, Status::kOk);
@@ -260,7 +260,7 @@ TEST(ServeRegistry, RepeatedHotSwapUnderConcurrentSubmittersDropsNothing) {
       while (!stop.load()) {
         ModelRegistry::Lease lease = registry.acquire("m");
         ASSERT_TRUE(lease);  // the name exists throughout
-        std::future<Reply> fut = lease->batcher.submit(x);
+        std::future<Reply> fut = lease->lane(0).submit(x);
         lease.release();
         const Reply reply = fut.get();
         if (reply.status != Status::kOk || reply.bits != want) {

@@ -8,6 +8,7 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <filesystem>
 #include <memory>
@@ -249,6 +250,75 @@ TEST(ServeServer, StalledClientIsDroppedAndNeverBlocksStopOrOtherClients) {
   const auto t0 = std::chrono::steady_clock::now();
   server.stop();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+}
+
+// Read-side backpressure, decided by counts alone: write_timeout is off, so
+// no clock takes part in any verdict. A client writing raw frames through
+// its nonblocking stream pipelines requests and never reads a reply. Once
+// 64 KiB of replies are queued the shard stops reading that connection, so
+// the client's writes end in EAGAIN with a tail of requests the server
+// never read; when the client then goes away, the paused connection is
+// dropped.
+TEST(ServeServer, NonReadingClientIsPausedByQueuedReplyBytesThenDropped) {
+  const auto model =
+      runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
+  ServerOptions opts;
+  opts.batcher.max_batch = 8;
+  opts.batcher.max_wait = 200us;
+  opts.write_timeout = 0ms;
+  Server server(model, opts);
+
+  const std::vector<double> x = random_rows(1, model->input_dim(), 29);
+  Frame frame;
+  frame.version = kProtocolV1;
+  frame.type = FrameType::kRequest;
+  frame.request_id = 1;  // never read back, so ids need not be unique
+  for (const double v : x) frame.payload.push_back(model->input_format().from_double(v));
+  const std::vector<std::uint8_t> one = encode(frame);
+  std::vector<std::uint8_t> block;
+  for (int i = 0; i < 256; ++i) block.insert(block.end(), one.begin(), one.end());
+
+  Client client = server.connect();
+  FdStream& raw = client.stream();
+  raw.set_nonblocking(true);
+  std::uint64_t sent = 0;  // bytes, always a whole number of blocks plus a prefix
+  const auto write_block = [&] {
+    const std::size_t off = sent % block.size();
+    const ssize_t n = raw.write_some(block.data() + off, block.size() - off);
+    if (n > 0) sent += static_cast<std::uint64_t>(n);
+    return n > 0;
+  };
+  const auto shard = [&] { return server.shard_stats()[0]; };
+
+  // Until the shard pauses, wait on POLLOUT whenever the socket is full: the
+  // client sends only as fast as the server reads, on any CPU. Without the
+  // pause the server would read all of it, queueing up to
+  // max_write_queue_bytes (4 MiB) of answers first.
+  const std::uint64_t kCap = 20000;  // frames
+  while (shard().read_paused == 0 && sent / one.size() < kCap) {
+    if (!write_block()) {
+      pollfd p{raw.fd(), POLLOUT, 0};
+      (void)::poll(&p, 1, 10);
+    }
+  }
+  ASSERT_GE(shard().read_paused, 1u) << "no pause after " << kCap << " unanswered requests";
+  // Paused: nothing more is read, so the pipe fills and the client sees EAGAIN.
+  while (write_block()) {
+  }
+  const std::uint64_t frames_sent = sent / one.size();
+  const std::uint64_t frames_in = shard().frames_in;
+  // The unread tail is whatever the client's socket buffer holds (the
+  // kernel default is ~200 KiB), far more than 1000 requests (~48 KB).
+  EXPECT_GE(frames_sent, frames_in + 1000) << "the server kept reading a paused connection";
+
+  // The client goes away without reading. A paused connection whose peer is
+  // gone is dropped, not read and not spun on.
+  raw.close();
+  for (int i = 0; i < 10000 && server.stats().dropped == 0; ++i) std::this_thread::sleep_for(1ms);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.dropped, 1u);
+  EXPECT_EQ(after.frames_in, frames_in) << "the unread tail was read after the pause";
+  EXPECT_EQ(after.read_paused, 1u);
 }
 
 TEST(ServeServer, ClosedConnectionsArePrunedSoChurnDoesNotLeakFds) {

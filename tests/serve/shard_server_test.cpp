@@ -357,6 +357,72 @@ TEST(ShardServer, MetricsPageFieldSetIsPinned) {
   EXPECT_GT(m.at("dp_uptime_seconds"), 0.0);
 }
 
+// The whole page of a quiesced 2-shard server, line by line and in order:
+// scrapers may key on position as well as on name. `*` marks a value that
+// varies from run to run (clock-derived gauges, queue-wait percentiles).
+TEST(ShardServer, MetricsPageLayoutIsPinnedLineForLine) {
+  const auto model =
+      runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
+  Server server(model, sharded_options(2));
+  const std::vector<double> xs = random_rows(1, model->input_dim(), 13);
+  Client a = server.connect();
+  Client b = server.connect();  // round-robin: lands on the other shard
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(a.forward_bits(std::span<const double>(xs)).status, Status::kOk);
+    ASSERT_EQ(b.forward_bits(std::span<const double>(xs)).status, Status::kOk);
+  }
+  server.stop();  // every counter final
+
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::vector<std::string> want = {
+      "# dp_serve metrics v1",
+      "dp_uptime_seconds *",
+      "dp_hardware_concurrency " + std::to_string(hw == 0 ? 1 : hw),
+      "dp_shards 2",
+      "dp_requests_total 6",
+      "dp_requests_per_second *",
+  };
+  for (const char* shard : {"0", "1"}) {
+    const std::string label = std::string("{shard=\"") + shard + "\"} ";
+    for (const char* line : {"dp_shard_connections 1", "dp_shard_frames_in 3",
+                             "dp_shard_frames_out 3", "dp_shard_bad_frames 0",
+                             "dp_shard_bad_requests 0", "dp_shard_not_found 0",
+                             "dp_shard_dropped 0", "dp_shard_overloaded 0",
+                             "dp_shard_rate_limited 0", "dp_shard_metrics_scrapes 0",
+                             "dp_shard_read_paused 0"}) {
+      const std::string s = line;
+      const std::size_t sp = s.find(' ');
+      want.push_back(s.substr(0, sp) + label + s.substr(sp + 1));
+    }
+  }
+  for (const char* line :
+       {"dp_model_accepted 6", "dp_model_rejected 0", "dp_model_completed 6",
+        "dp_model_deadline_exceeded 0", "dp_model_batches 6", "dp_model_queue_depth 0",
+        "dp_model_in_flight 0", "dp_model_occupancy 1", "dp_model_wait_p50_us *",
+        "dp_model_wait_p99_us *", "dp_model_wait_p999_us *"}) {
+    const std::string s = line;
+    const std::size_t sp = s.find(' ');
+    want.push_back(s.substr(0, sp) + "{model=\"default\"} " + s.substr(sp + 1));
+  }
+
+  std::vector<std::string> got;
+  const std::string text = server.metrics_text();
+  for (std::size_t pos = 0, eol; pos < text.size(); pos = eol + 1) {
+    eol = text.find('\n', pos);
+    ASSERT_NE(eol, std::string::npos) << "metrics page must end with a newline";
+    got.push_back(text.substr(pos, eol - pos));
+  }
+  ASSERT_EQ(got.size(), want.size()) << text;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i].ends_with(" *")) {
+      EXPECT_EQ(got[i].substr(0, got[i].rfind(' ')), want[i].substr(0, want[i].size() - 2))
+          << "line " << i;
+    } else {
+      EXPECT_EQ(got[i], want[i]) << "line " << i;
+    }
+  }
+}
+
 TEST(ShardServer, InBandMetricsRequestReturnsTheSamePage) {
   const auto model =
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
