@@ -33,8 +33,9 @@
 //  * avx2 / avx2-2limb — 4 int64 lanes per ymm register, 4 registers = a
 //    16-sample tile, only when the CPU reports AVX2. "avx2" keeps one int64
 //    limb per lane and needs need_bits <= 62 (AccKind::kI64). "avx2-2limb"
-//    covers bounds past 62 bits (posit<8,1> at k=128 needs 68) by splitting
-//    every lane into two int64 limbs at a shift threshold T:
+//    covers bounds past 62 bits (the format-wide posit<8,1> spec at k=128
+//    needs 68) by splitting every lane into two int64 limbs at a shift
+//    threshold T:
 //      hi += prod << (shift - T)   for shift >= T   (exact, no wrap)
 //      lo += prod << shift         for every shift  (mod 2^64)
 //    make_kernel_spec proves both per-limb partial sums stay below 2^61:
@@ -48,18 +49,38 @@
 //  * scalar-blocked — portable fallback, 8-sample tile, same layout, the
 //    accumulators are plain accum.hpp policy values (all three widths).
 //
+// Per-plane specs. The paper sizes the quire from the format's whole
+// dynamic range, but a weight plane holds only the scales it holds. A spec
+// is built for a ScaleRange of weight scale factors: create(fmt, k) takes
+// the format's full range (format_scale_range), create(fmt, k, range) the
+// range of one plane's nonzero weights and biases (plane_scale_range, which
+// runtime::Model passes at build). Activations always keep the format-wide
+// range. The product shift bias splits into two halves,
+//
+//     sf_bias = w_half_bias + a_half_bias,
+//     w_half_bias = -range.lo,   a_half_bias = -(format's lowest sf),
+//
+// so every product shift lies in [0, span(range) + span(format)] and the
+// accumulator's lsb (KernelSpec::frame) sits at the smallest product the
+// plane can make. The bound, the register and the limb count follow from
+// that one shift range; pack_plane refuses a weight or bias outside it. A
+// posit<8,1> plane spanning 11 binades needs 55 bits at k=128, not 68.
+// Whether a format has a kernel at all is still decided by its format-wide
+// bound, so a plane range never moves a layer off (or onto) the step path.
+//
 // One-limb specs (KernelSpec::limbs == 1, every kernel on an int64 register)
 // take the shift out of the inner loop. pack_plane and pack_acts store each
 // operand pre-shifted by its own half of the product shift,
 //
-//     w' = ssig_w << (sf_w + sf_bias/2),   a' = ssig_a << (sf_a + sf_bias/2)
+//     w' = ssig_w << (sf_w + w_half_bias),   a' = ssig_a << (sf_a + a_half_bias)
 //
 // so w' * a' == (ssig_w * ssig_a) << (sf_w + sf_a + sf_bias): the same
-// integer term, one multiply-add per MAC. make_kernel_spec proves that
-// sf_bias is even, that both half-shifts are non-negative and that
-// need_bits <= 62 keeps every pre-shifted operand within 2^30, so it fits the
-// int32 operand of the AVX2 multiply. Wider specs keep the (ssig, shift)
-// layout above.
+// integer term, one multiply-add per MAC. Both half-shifts are non-negative
+// by construction, and make_kernel_spec takes one limb only when each
+// operand on its own stays within 2^30, so it fits the int32 operand of the
+// AVX2 multiply; a plane whose halves are too lopsided for that keeps the
+// (ssig, shift) layout on two limbs or the scalar kernel. Wider specs keep
+// the (ssig, shift) layout above.
 //
 // DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") forces the
 // portable kernel regardless of CPU support — the no-rebuild cross-check
@@ -83,13 +104,24 @@ namespace dp::emac {
 /// accumulator arrays). matmul() accepts any samples <= min(stride, this).
 inline constexpr std::size_t kMaxKernelTile = 16;
 
+/// An inclusive range of operand scale factors (DecodedOp::sf).
+struct ScaleRange {
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+
+  friend bool operator==(const ScaleRange&, const ScaleRange&) = default;
+};
+
 /// Everything the inner loops and the final readout need, precomputed once
-/// per (format, k) at kernel creation. The shift constants mirror the
-/// step() units' accumulator frames exactly:
-///  * posit — sf_bias = 2S, frame = 2S + 2(P-1), bias shift = sf + 2S + P-1.
-///  * float — sf_bias = -2, frame = 2*bias + 2*wf - 2, bias shift =
-///    exp + bias + wf - 2; zero patterns decode with sf == 1 (zero_sf), which
-///    keeps every shift non-negative.
+/// per (format, k, weight range) at kernel creation. With L the weight
+/// range's lo, the shift constants put the accumulator lsb at the smallest
+/// product a weight in range can make (header comment):
+///  * posit — sf_bias = S - L, frame = sf_bias + 2(P-1), bias shift =
+///    sf + sf_bias + P-1. The format-wide range (L = -S) gives the step()
+///    units' own frame, sf_bias = 2S.
+///  * float — sf_bias = -L - 1, frame = sf_bias + 2*bias + 2*wf, bias shift =
+///    exp + sf_bias + bias + wf; zero patterns decode with sf == 1 (zero_sf),
+///    which keeps every shift non-negative. Format-wide: sf_bias = -2.
 ///  * fixed — all scale factors 0; readout is (acc >> q) clipped to the raw
 ///    range, the bias image is raw << q.
 struct KernelSpec {
@@ -97,7 +129,11 @@ struct KernelSpec {
 
   num::Format fmt;
   std::size_t k = 0;            ///< max accumulation length (layer fan-in)
-  std::int32_t sf_bias = 0;     ///< added to every product shift
+  /// The scale factors every nonzero weight and bias must lie in.
+  ScaleRange weight_range;
+  std::int32_t w_half_bias = 0; ///< -weight_range.lo
+  std::int32_t a_half_bias = 0; ///< minus the format's lowest sf
+  std::int32_t sf_bias = 0;     ///< w_half_bias + a_half_bias, added to every product shift
   std::int32_t zero_sf = 0;     ///< sf of the format's zero pattern (pads)
   std::int64_t frame = 0;       ///< readout frame (posit/float families)
   int fixed_q = 0;              ///< fraction bits (fixed family)
@@ -135,8 +171,9 @@ struct KernelSpec {
 /// pre-resolved to its integer accumulator image (ssig, shift, NaR flag).
 /// One-limb specs store the pre-shifted operand w' (header comment) and no
 /// shifts, 4 B a weight; wider specs the signed significand and its
-/// pre-biased shift (sf + sf_bias), 8 B a weight. Built once at
-/// runtime::Model construction, immutable and shareable after.
+/// pre-biased shift (sf + sf_bias; a_half_bias for a zero weight, so its
+/// shift stays non-negative with any activation), 8 B a weight. Built once
+/// at runtime::Model construction, immutable and shareable after.
 struct PackedPlane {
   std::size_t rows = 0;
   std::size_t k = 0;
@@ -170,15 +207,24 @@ class MatmulKernel {
   /// this CPU — AVX2 when compiled in, supported at runtime, not forced off
   /// via DP_FORCE_SCALAR_KERNEL, and the bound fits one or two int64 limbs
   /// (KernelSpec::limbs); the portable scalar-blocked kernel otherwise.
-  /// Returns nullptr when no kernel supports the combination (bound beyond
-  /// 250 bits, zero k): runtime::Model runs such a layer on the step()
-  /// recurrence instead.
+  /// Returns nullptr when no kernel supports the combination (format-wide
+  /// bound beyond 250 bits, zero k): runtime::Model runs such a layer on the
+  /// step() recurrence instead. This overload sizes the accumulator for any
+  /// weight of the format.
   static std::unique_ptr<MatmulKernel> create(const num::Format& fmt, std::size_t k);
+
+  /// The same, sized for planes whose nonzero weights and biases all have
+  /// their scale factor in `weights` (plane_scale_range). pack_plane throws
+  /// std::invalid_argument on any that does not.
+  static std::unique_ptr<MatmulKernel> create(const num::Format& fmt, std::size_t k,
+                                              const ScaleRange& weights);
 
   /// The portable scalar-blocked kernel, unconditionally — the differential
   /// suite drives it against create() and the step() oracle.
   static std::unique_ptr<MatmulKernel> create_scalar(const num::Format& fmt,
                                                      std::size_t k);
+  static std::unique_ptr<MatmulKernel> create_scalar(const num::Format& fmt, std::size_t k,
+                                                     const ScaleRange& weights);
 
   const KernelSpec& spec() const { return spec_; }
   /// Preferred samples per pass; the ideal flush multiple for batchers.
@@ -188,7 +234,9 @@ class MatmulKernel {
   const char* name() const { return name_; }
 
   /// Re-pack a decoded weight plane (row-major rows x k, as produced by
-  /// Emac::decode_plane) plus the per-row bias patterns.
+  /// Emac::decode_plane) plus the per-row bias patterns. Throws
+  /// std::invalid_argument if a nonzero weight or bias lies outside
+  /// spec().weight_range.
   PackedPlane pack_plane(const DecodedOp* weights, std::size_t rows,
                          const std::uint32_t* bias_bits) const;
 
@@ -216,8 +264,28 @@ class MatmulKernel {
   std::uint32_t mask_ = 0;
 };
 
-/// Compute the spec for (fmt, k), or report unsupported (k == 0 or the bound
-/// exceeds the 250-bit policy ceiling). Exposed for the bound tests.
+/// Every scale factor a pattern of `fmt` decodes to (decode_operand): posit
+/// [-S, S], float [1, expmax + 1] (the all-ones exponent reads as finite),
+/// fixed [0, 0].
+ScaleRange format_scale_range(const num::Format& fmt);
+
+/// The scale factors of a plane's finite weight patterns (`count` of them)
+/// and of its `rows` finite bias patterns, as decode_operand reads them;
+/// zero and NaR patterns do not count. A plane with none gets the
+/// empty-span range at the format's lowest scale factor.
+ScaleRange plane_scale_range(const num::Format& fmt, const std::uint32_t* weight_bits,
+                             std::size_t count, const std::uint32_t* bias_bits,
+                             std::size_t rows);
+
+/// Compute the spec for (fmt, k) and planes whose nonzero weights and biases
+/// lie in `weights`, or report unsupported (k == 0 or the format-wide bound
+/// exceeds the 250-bit policy ceiling). Throws std::invalid_argument if
+/// `weights` is empty or leaves format_scale_range(fmt). Exposed for the
+/// bound tests.
+bool make_kernel_spec(const num::Format& fmt, std::size_t k, const ScaleRange& weights,
+                      KernelSpec& out);
+
+/// The same for the format's full range: the spec create(fmt, k) uses.
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out);
 
 namespace detail {

@@ -144,6 +144,28 @@ ReluRule relu_rule(const Format& fmt) {
   throw std::logic_error("relu_rule: bad kind");
 }
 
+OrderRule order_rule(const Format& fmt) {
+  OrderRule r;
+  r.mask = static_cast<std::uint32_t>((std::uint64_t{1} << fmt.total_bits()) - 1);
+  r.sign = std::uint32_t{1} << (fmt.total_bits() - 1);
+  r.extend = 32 - fmt.total_bits();
+  r.nan_above = r.mask;
+  switch (fmt.kind()) {
+    case Kind::kPosit:
+      r.nar = fmt.posit().nar_pattern();
+      break;
+    case Kind::kFloat: {
+      const FloatFormat& f = fmt.flt();
+      r.sign_magnitude = true;
+      r.nan_above = static_cast<std::uint32_t>((1u << f.we) - 1) << f.wf;  // +Inf
+      break;
+    }
+    case Kind::kFixed:
+      break;
+  }
+  return r;
+}
+
 std::vector<Format> paper_format_grid(int n) {
   std::vector<Format> out;
   for (int es = 0; es <= 3 && es <= n - 4; ++es) {

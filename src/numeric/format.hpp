@@ -82,6 +82,39 @@ struct ReluRule {
 
 ReluRule relu_rule(const Format& fmt);
 
+/// Value order on patterns with the format resolved once: key() orders
+/// patterns as their decoded values (Format::to_double) do, the two float
+/// zeros tied. Posit and fixed patterns are n-bit two's complement integers
+/// in value order; float patterns are sign-magnitude, so a negative one
+/// flips. Patterns that decode to NaN (posit NaR, float NaN) have no place
+/// in the order: is_nan() reports them and key() is meaningless for them.
+struct OrderRule {
+  std::uint32_t mask = 0;     ///< the format's pattern mask
+  std::uint32_t sign = 0;     ///< its sign bit
+  int extend = 0;             ///< 32 - n: the two's complement sign extension
+  bool sign_magnitude = false;
+  std::uint32_t nar = 0;      ///< posit NaR; 0 (always a zero) otherwise
+  /// Float: magnitudes above +Inf's are NaN. Others: the mask, which no
+  /// magnitude passes.
+  std::uint32_t nan_above = 0;
+
+  bool is_nan(std::uint32_t bits) const {
+    bits &= mask;
+    return (nar != 0 && bits == nar) || (bits & ~sign) > nan_above;
+  }
+
+  std::int32_t key(std::uint32_t bits) const {
+    bits &= mask;
+    if (sign_magnitude) {
+      const auto mag = static_cast<std::int32_t>(bits & ~sign);
+      return (bits & sign) != 0 ? -mag : mag;
+    }
+    return static_cast<std::int32_t>(bits << extend) >> extend;
+  }
+};
+
+OrderRule order_rule(const Format& fmt);
+
 /// The format grid evaluated by the paper for a given total width n:
 /// posit es in {0..3} (es < n-3 so at least 1 fraction bit), float we in
 /// {2..5} (wf >= 1), fixed q in {1..n-2}.

@@ -24,6 +24,7 @@ Model::Model(nn::QuantizedNetwork network) : net_(std::move(network)) {
     }
   }
   input_table_ = num::shared_encode_table(net_.input_format());
+  output_order_ = num::order_rule(net_.output_format());
   // Dispatch (AVX2 vs portable, DP_FORCE_SCALAR_KERNEL) — and with it the
   // accumulator width — is resolved per layer against the layer's own
   // format, so one layer may take the one-limb AVX2 kernel while a
@@ -38,8 +39,12 @@ Model::Model(nn::QuantizedNetwork network) : net_(std::move(network)) {
     const num::Format& fmt = net_.layer_format(li);
     // Building the unit fails fast on an unsupported format/fan-in; it also
     // decodes the plane, which lives only until the kernel has packed it.
+    // The layer's accumulator is sized from the scales its weights and
+    // biases actually hold (emac/kernel.hpp), not the format's whole range.
     const std::unique_ptr<emac::Emac> unit = emac::make_emac(fmt, layer.fan_in);
-    kernels_[li] = emac::MatmulKernel::create(fmt, layer.fan_in);
+    const emac::ScaleRange range = emac::plane_scale_range(
+        fmt, layer.weights.data(), layer.weights.size(), layer.bias.data(), layer.fan_out);
+    kernels_[li] = emac::MatmulKernel::create(fmt, layer.fan_in, range);
     if (kernels_[li] == nullptr) continue;
     std::vector<emac::DecodedOp> plane(layer.weights.size());
     unit->decode_plane(layer.weights.data(), plane.size(), plane.data());
@@ -65,14 +70,18 @@ std::uint32_t Model::to_layer_format(std::size_t li, std::uint32_t bits) const {
 }
 
 int Model::argmax_bits(std::span<const std::uint32_t> bits) const {
-  const num::Format& fmt = net_.output_format();
+  // Integer keys in value order, the winner comparing decoded scores would
+  // pick: a NaR/NaN score compares false both ways, so one in slot 0 wins
+  // and a later one never does.
+  if (bits.empty() || output_order_.is_nan(bits[0])) return 0;
   int best = 0;
-  double best_score = bits.empty() ? 0.0 : fmt.to_double(bits[0]);
+  std::int32_t best_key = output_order_.key(bits[0]);
   for (std::size_t i = 1; i < bits.size(); ++i) {
-    const double score = fmt.to_double(bits[i]);
-    if (score > best_score) {
+    if (output_order_.is_nan(bits[i])) continue;
+    const std::int32_t key = output_order_.key(bits[i]);
+    if (key > best_key) {
       best = static_cast<int>(i);
-      best_score = score;
+      best_key = key;
     }
   }
   return best;

@@ -128,6 +128,8 @@ class Model {
   // The input quantizer: the shared encode table of the input format, or
   // null (fixed or wider formats: Format::from_double).
   const num::EncodeTable* input_table_ = nullptr;
+  // argmax_bits' integer order on output_format() patterns.
+  num::OrderRule output_order_;
   std::size_t tile_ = 1;
 };
 

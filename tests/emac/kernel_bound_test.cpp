@@ -133,8 +133,15 @@ u128 bias_image(const MatmulKernel& kern, std::uint32_t bias_bits) {
   return abs_i128(p.bias_ssig[0]) << p.bias_shift[0];
 }
 
-/// Both kernels (dispatched + forced scalar) against the step() oracle on a
-/// fully specified adversarial plane, every output word.
+/// The two kernel factories, each for an explicit weight range: dispatched
+/// (AVX2 where eligible) and forced scalar.
+using Factory = std::unique_ptr<MatmulKernel> (*)(const num::Format&, std::size_t,
+                                                  const ScaleRange&);
+constexpr Factory kFactories[] = {&MatmulKernel::create, &MatmulKernel::create_scalar};
+
+/// Both kernels (dispatched + forced scalar), each sized for the format's
+/// full range and for the plane's own range, against the step() oracle on
+/// a fully specified adversarial plane, every output word.
 void expect_kernels_match_step(const num::Format& fmt, std::size_t k,
                                const std::vector<std::uint32_t>& weight_bits,
                                const std::vector<std::uint32_t>& bias_bits,
@@ -158,29 +165,34 @@ void expect_kernels_match_step(const num::Format& fmt, std::size_t k,
 
   std::vector<DecodedOp> wdec(weight_bits.size());
   unit->decode_plane(weight_bits.data(), weight_bits.size(), wdec.data());
-  for (auto* make : {&MatmulKernel::create, &MatmulKernel::create_scalar}) {
-    const std::unique_ptr<MatmulKernel> kern = (*make)(fmt, k);
-    ASSERT_NE(kern, nullptr) << fmt.name() << " k=" << k;
-    const std::size_t tile = kern->tile();
-    const PackedPlane plane = kern->pack_plane(wdec.data(), rows, bias_bits.data());
-    // Samples past one tile run as further tiles, the last one ragged.
-    for (std::size_t t0 = 0; t0 < samples; t0 += tile) {
-      const std::size_t live = std::min(tile, samples - t0);
-      std::vector<std::uint32_t> interleaved(k * tile, 0);
-      for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t s = 0; s < live; ++s) {
-          interleaved[i * tile + s] = act_bits[(t0 + s) * k + i];
+  const ScaleRange plane =
+      plane_scale_range(fmt, weight_bits.data(), weight_bits.size(), bias_bits.data(), rows);
+  for (const Factory make : kFactories) {
+    for (const ScaleRange& range : {format_scale_range(fmt), plane}) {
+      const std::unique_ptr<MatmulKernel> kern = (*make)(fmt, k, range);
+      ASSERT_NE(kern, nullptr) << fmt.name() << " k=" << k;
+      SCOPED_TRACE(std::string(kern->name()) + " weight sf in [" + std::to_string(range.lo) +
+                   ", " + std::to_string(range.hi) + "]");
+      const std::size_t tile = kern->tile();
+      const PackedPlane packed = kern->pack_plane(wdec.data(), rows, bias_bits.data());
+      // Samples past one tile run as further tiles, the last one ragged.
+      for (std::size_t t0 = 0; t0 < samples; t0 += tile) {
+        const std::size_t live = std::min(tile, samples - t0);
+        std::vector<std::uint32_t> interleaved(k * tile, 0);
+        for (std::size_t i = 0; i < k; ++i) {
+          for (std::size_t s = 0; s < live; ++s) {
+            interleaved[i * tile + s] = act_bits[(t0 + s) * k + i];
+          }
         }
-      }
-      ActTile acts;
-      kern->pack_acts(interleaved.data(), k, live, tile, acts);
-      std::vector<std::uint32_t> out(rows * tile, 0xffffffffu);
-      kern->matmul(plane, acts, live, out.data());
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t s = 0; s < live; ++s) {
-          ASSERT_EQ(out[r * tile + s], expected[(t0 + s) * rows + r])
-              << fmt.name() << " k=" << k << " kernel=" << kern->name() << " row=" << r
-              << " sample=" << (t0 + s);
+        ActTile acts;
+        kern->pack_acts(interleaved.data(), k, live, tile, acts);
+        std::vector<std::uint32_t> out(rows * tile, 0xffffffffu);
+        kern->matmul(packed, acts, live, out.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t s = 0; s < live; ++s) {
+            ASSERT_EQ(out[r * tile + s], expected[(t0 + s) * rows + r])
+                << fmt.name() << " k=" << k << " row=" << r << " sample=" << (t0 + s);
+          }
         }
       }
     }
@@ -368,7 +380,8 @@ TEST(KernelBound, NaRAndZeroInterleavesPropagateExactly) {
 }
 
 // --- The one-limb pre-shifted layout -----------------------------------------
-// One-limb specs store every operand as ssig << (sf + sf_bias/2) (kernel.hpp),
+// One-limb specs store every operand as ssig << (sf + its half of sf_bias)
+// (kernel.hpp),
 // and the AVX2 kernel multiplies their low 32 bits. make_kernel_spec proves
 // they fit int32; these tests enumerate every pattern to check it, up to the
 // specs whose bound sits exactly at 62 bits.
@@ -414,14 +427,15 @@ TEST(KernelBound, OneLimbPreShiftedOperandsFitInt32AtEveryBoundary) {
     KernelSpec spec(fmt);
     ASSERT_TRUE(make_kernel_spec(fmt, 1, spec));
     ASSERT_EQ(spec.limbs, 1);
-    ASSERT_EQ(spec.sf_bias % 2, 0);
+    // The format-wide spec splits the product bias into equal halves.
+    ASSERT_EQ(spec.w_half_bias, spec.a_half_bias);
     const std::uint32_t count = std::uint32_t{1} << fmt.total_bits();
     std::vector<std::uint32_t> patterns(count);
     std::vector<std::int64_t> want(count);
     std::int64_t largest = 0;
     for (std::uint32_t b = 0; b < count; ++b) {
       const DecodedOp d = decode_operand(b, fmt);
-      const int half_shift = d.sf + spec.sf_bias / 2;
+      const int half_shift = d.sf + spec.a_half_bias;
       ASSERT_GE(half_shift, 0) << "pattern " << b;
       ASSERT_LE(half_shift, 62) << "pattern " << b;
       patterns[b] = b;
@@ -439,8 +453,8 @@ TEST(KernelBound, OneLimbPreShiftedOperandsFitInt32AtEveryBoundary) {
     EXPECT_EQ(edge.need_bits, 62u) << "k=" << k_max;
 
     // pack_plane and pack_acts store exactly these operands, and nothing else.
-    for (auto* make : {&MatmulKernel::create, &MatmulKernel::create_scalar}) {
-      const auto kern = (*make)(fmt, 1);
+    for (const Factory make : kFactories) {
+      const auto kern = (*make)(fmt, 1, format_scale_range(fmt));
       ASSERT_NE(kern, nullptr);
       std::vector<DecodedOp> wdec(count);
       for (std::uint32_t b = 0; b < count; ++b) wdec[b] = decode_operand(b, fmt);
@@ -803,6 +817,305 @@ TEST(KernelBound, TwoLimbAdversarialWalksRebuildTheExactSum) {
     // The walks must reach sums the lo limb alone cannot hold, or the join
     // would go untested.
     EXPECT_TRUE(lo_left_int64);
+  }
+}
+
+// --- Per-plane specs ---------------------------------------------------------
+// A spec sized for one plane's weight range (plane_scale_range): the weight
+// half of the shift bias, the bound, the register, the limb count and the
+// readout frame all move with the range, the activation half stays
+// format-wide. Planes with weights at both ends of their range, fed the
+// format's extreme activations, must still match step() bit for bit, and
+// the chosen width must cover their largest partial sum.
+
+/// Sub-ranges of the format's scale range: its bottom and top quarter, the
+/// middle half, one scale in the middle, and the whole range.
+std::vector<ScaleRange> plane_windows(const num::Format& fmt) {
+  const ScaleRange f = format_scale_range(fmt);
+  const int q = (f.hi - f.lo) / 4;
+  const int mid = f.lo + (f.hi - f.lo) / 2;
+  return {{f.lo, f.lo + q}, {f.hi - q, f.hi}, {f.lo + q, f.hi - q}, {mid, mid}, f};
+}
+
+/// The finite operands whose sf lies in `window`.
+std::vector<DecodedOp> operands_in(const std::vector<DecodedOp>& ops, const ScaleRange& window) {
+  std::vector<DecodedOp> in;
+  for (const DecodedOp& d : ops) {
+    if (d.sf >= window.lo && d.sf <= window.hi) in.push_back(d);
+  }
+  return in;
+}
+
+/// The range a set of finite operands spans.
+ScaleRange span_of(const std::vector<DecodedOp>& ops) {
+  ScaleRange r{ops.front().sf, ops.front().sf};
+  for (const DecodedOp& d : ops) {
+    r.lo = std::min(r.lo, d.sf);
+    r.hi = std::max(r.hi, d.sf);
+  }
+  return r;
+}
+
+/// Of the operands with scale factor `sf` and the given sign, the one of
+/// largest (or smallest) |ssig|.
+std::uint32_t pick(const std::vector<DecodedOp>& ops, int sf, bool negative, bool largest) {
+  const DecodedOp* best = nullptr;
+  for (const DecodedOp& d : ops) {
+    if (d.sf != sf || (d.ssig < 0) != negative) continue;
+    const auto mag = [](const DecodedOp& o) { return o.ssig < 0 ? -o.ssig : o.ssig; };
+    if (best == nullptr || (largest ? mag(d) > mag(*best) : mag(d) < mag(*best))) best = &d;
+  }
+  return best != nullptr ? best->bits : 0;
+}
+
+bool register_covers(AccKind kind, std::size_t need_bits) {
+  switch (kind) {
+    case AccKind::kI64:
+      return need_bits <= 62;
+    case AccKind::kI128:
+      return need_bits <= 125;
+    case AccKind::kWide:
+      return need_bits <= 250;
+  }
+  return false;
+}
+
+TEST(KernelBound, PlaneSpecsWithWeightsAtBothEndsMatchStep) {
+  std::uint32_t seed = 1801;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      const std::vector<DecodedOp> ops = finite_operands(fmt);
+      const Extremes e = find_extremes(fmt);
+      const std::uint32_t zero = zero_pattern(fmt);
+      const num::ReluRule relu = num::relu_rule(fmt);
+      const std::uint32_t mask = (1u << fmt.total_bits()) - 1u;
+      // The smallest finite magnitude, to reach the bottom of the frame.
+      std::uint32_t tiny = 0;
+      long double tiny_mag = INFINITY;
+      for (const DecodedOp& d : ops) {
+        const long double mag =
+            std::ldexp(static_cast<long double>(d.ssig < 0 ? -d.ssig : d.ssig), d.sf);
+        if (mag < tiny_mag) {
+          tiny_mag = mag;
+          tiny = d.bits;
+        }
+      }
+      for (const ScaleRange& window : plane_windows(fmt)) {
+        const std::vector<DecodedOp> in = operands_in(ops, window);
+        if (in.empty()) continue;
+        const ScaleRange r = span_of(in);
+        SCOPED_TRACE(fmt.name() + " weight sf in [" + std::to_string(r.lo) + ", " +
+                     std::to_string(r.hi) + "]");
+        const std::uint32_t hi_pos = pick(in, r.hi, false, true);
+        const std::uint32_t hi_neg = pick(in, r.hi, true, true);
+        const std::uint32_t lo_small = pick(in, r.lo, false, false);
+        const std::uint32_t lo_big = pick(in, r.lo, true, true);
+        for (const std::size_t k : {std::size_t{64}, std::size_t{128}}) {
+          std::vector<std::uint32_t> weights;
+          for (std::size_t i = 0; i < k; ++i) weights.push_back(hi_pos);
+          for (std::size_t i = 0; i < k; ++i) weights.push_back(i % 2 == 0 ? hi_pos : lo_small);
+          for (std::size_t i = 0; i < k; ++i) {
+            weights.push_back(i % 5 == 4 ? zero : (i % 2 == 0 ? hi_neg : lo_big));
+          }
+          for (std::size_t i = 0; i < k; ++i) weights.push_back(lo_small);
+          const std::vector<std::uint32_t> bias{hi_pos, lo_small, zero, lo_big};
+
+          // All-max, all-most-negative and all-tiny samples, then post-ReLU
+          // tiles where three in four activations are zero.
+          const std::size_t samples = kMaxKernelTile;
+          std::mt19937 rng(seed++);
+          std::vector<std::uint32_t> acts;
+          for (const std::uint32_t a : {e.max_mag, e.min_val, tiny}) acts.insert(acts.end(), k, a);
+          while (acts.size() < samples * k) {
+            acts.push_back(rng() % 4 == 0 ? relu(rng() & mask) : zero);
+          }
+
+          const ScaleRange got =
+              plane_scale_range(fmt, weights.data(), weights.size(), bias.data(), bias.size());
+          ASSERT_TRUE(got == r);
+          expect_kernels_match_step(fmt, k, weights, bias, acts, samples);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBound, PlaneSpecWidthCoversItsExtremeWeightsAtTheBenchmarkFanIns) {
+  // For every paper-grid format, fan-in 64 and 128 and plane window: the
+  // selected register holds k products of the plane's largest weights with
+  // the format's largest activations plus the largest bias, a one-limb spec
+  // keeps every pre-shifted operand within 2^30, and a two-limb spec keeps
+  // each limb's worst case below 2^61.
+  int one_limb = 0;
+  int two_limb = 0;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      const std::vector<DecodedOp> ops = finite_operands(fmt);
+      for (const ScaleRange& window : plane_windows(fmt)) {
+        const std::vector<DecodedOp> in = operands_in(ops, window);
+        if (in.empty()) continue;
+        const ScaleRange r = span_of(in);
+        for (const std::size_t k : {std::size_t{64}, std::size_t{128}}) {
+          SCOPED_TRACE(fmt.name() + " k=" + std::to_string(k) + " weight sf in [" +
+                       std::to_string(r.lo) + ", " + std::to_string(r.hi) + "]");
+          KernelSpec spec(fmt);
+          ASSERT_TRUE(make_kernel_spec(fmt, k, r, spec));
+          EXPECT_EQ(spec.w_half_bias, -r.lo);
+          EXPECT_EQ(spec.a_half_bias, -format_scale_range(fmt).lo);
+          EXPECT_EQ(spec.sf_bias, spec.w_half_bias + spec.a_half_bias);
+          EXPECT_TRUE(register_covers(spec.acc_kind, spec.need_bits));
+          EXPECT_EQ(spec.limbs == 1, spec.acc_kind == AccKind::kI64);
+
+          // The plane's biases: every window pattern, over zero weights.
+          const auto kern = MatmulKernel::create_scalar(fmt, k, r);
+          ASSERT_NE(kern, nullptr);
+          std::vector<std::uint32_t> biases;
+          for (const DecodedOp& d : in) biases.push_back(d.bits);
+          const std::vector<DecodedOp> no_weights(biases.size() * k);
+          const PackedPlane bias_plane = kern->pack_plane(no_weights.data(), biases.size(),
+                                                          biases.data());
+          for (std::size_t j = 0; j < biases.size(); ++j) {
+            ASSERT_GE(bias_plane.bias_shift[j], 0);
+          }
+          if (spec.need_bits <= 120) {  // wide-register specs: no u128 mirror
+            u128 bias_max = 0;
+            for (std::size_t j = 0; j < biases.size(); ++j) {
+              bias_max = std::max(bias_max, abs_i128(bias_plane.bias_ssig[j])
+                                                << bias_plane.bias_shift[j]);
+            }
+            u128 prod_max = 0;
+            for (const DecodedOp& w : in) {
+              for (const DecodedOp& a : ops) {
+                const int shift = w.sf + a.sf + spec.sf_bias;
+                ASSERT_GE(shift, 0);
+                prod_max =
+                    std::max(prod_max, abs_i128(static_cast<i128>(w.ssig) * a.ssig) << shift);
+              }
+            }
+            EXPECT_LE(bit_width_u128(prod_max),
+                      static_cast<int>(spec.need_bits) - std::bit_width(k) - 1);
+            EXPECT_LT(static_cast<u128>(k) * prod_max + bias_max,
+                      static_cast<u128>(1) << (spec.need_bits - 1));
+          }
+
+          if (spec.limbs == 1) {
+            ++one_limb;
+            // Every weight in range and every activation of the format,
+            // pre-shifted as packed.
+            std::vector<DecodedOp> wdec((in.size() + k - 1) / k * k);
+            std::copy(in.begin(), in.end(), wdec.begin());
+            const std::vector<std::uint32_t> zero_bias(wdec.size() / k, 0);
+            const PackedPlane plane = kern->pack_plane(wdec.data(), wdec.size() / k,
+                                                       zero_bias.data());
+            for (std::size_t i = 0; i < in.size(); ++i) {
+              const std::int64_t want = in[i].ssig << (in[i].sf + spec.w_half_bias);
+              ASSERT_EQ(plane.ssig[i], want) << "weight pattern " << in[i].bits;
+              ASSERT_LE(want < 0 ? -want : want, std::int64_t{1} << 30);
+            }
+            std::vector<std::uint32_t> patterns;
+            for (const DecodedOp& a : ops) patterns.push_back(a.bits);
+            ActTile acts;
+            kern->pack_acts(patterns.data(), patterns.size(), 1, 1, acts);
+            for (std::size_t i = 0; i < ops.size(); ++i) {
+              const std::int64_t want = ops[i].ssig << (ops[i].sf + spec.a_half_bias);
+              ASSERT_EQ(acts.ssig[i], want) << "activation pattern " << ops[i].bits;
+              ASSERT_LE(want < 0 ? -want : want, std::int64_t{1} << 30);
+            }
+          } else if (spec.limbs == 2) {
+            ++two_limb;
+            LimbTermMax prod;
+            for (const DecodedOp& w : in) {
+              for (const DecodedOp& a : ops) {
+                const u128 mag = abs_i128(static_cast<i128>(w.ssig) * a.ssig);
+                const int shift = w.sf + a.sf + spec.sf_bias;
+                if (shift >= spec.limb_split) {
+                  prod.hi = std::max(prod.hi, mag << (shift - spec.limb_split));
+                } else {
+                  prod.lo = std::max(prod.lo, mag << shift);
+                }
+              }
+            }
+            LimbTermMax bias;
+            for (std::size_t j = 0; j < biases.size(); ++j) {
+              const u128 mag = abs_i128(bias_plane.bias_ssig[j]);
+              const int shift = bias_plane.bias_shift[j];
+              if (shift >= spec.limb_split) {
+                bias.hi = std::max(bias.hi, mag << (shift - spec.limb_split));
+              } else {
+                bias.lo = std::max(bias.lo, mag << shift);
+              }
+            }
+            const u128 limit = static_cast<u128>(1) << 61;
+            EXPECT_LT(static_cast<u128>(k) * prod.hi + bias.hi, limit) << "hi limb";
+            EXPECT_LT(static_cast<u128>(k) * prod.lo + bias.lo, limit) << "lo limb";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(one_limb, 0);
+  EXPECT_GT(two_limb, 0);
+}
+
+TEST(KernelBound, PlaneSpecsPickTheirLimbsFromTheRange) {
+  const num::Format p81{num::PositFormat{8, 1}};
+  // Whether dispatch takes AVX2 here (CPU support, DP_FORCE_SCALAR_KERNEL).
+  const bool avx2 =
+      std::string(MatmulKernel::create(num::PositFormat{8, 0}, 128)->name()) == "avx2";
+  // posit<8,1> weights spanning scales -12..-1, as initialized nets hold:
+  // 11 + 24 shift bits, 55 in all at k = 128, one limb.
+  KernelSpec narrow(p81);
+  ASSERT_TRUE(make_kernel_spec(p81, 128, ScaleRange{-12, -1}, narrow));
+  EXPECT_EQ(narrow.need_bits, 55u);
+  EXPECT_EQ(narrow.limbs, 1);
+  EXPECT_STREQ(MatmulKernel::create(p81, 128, ScaleRange{-12, -1})->name(),
+               avx2 ? "avx2" : "scalar-blocked");
+
+  // A plane holding minpos and maxpos spans the whole range: the format-wide
+  // spec, 68 bits, still the two-limb kernel.
+  std::vector<std::uint32_t> weights(2 * 128, p81.posit().zero_pattern());
+  weights[0] = 0x01;                               // minpos, scale -12
+  weights[1] = p81.posit().nar_pattern() - 1;      // maxpos, scale 12
+  weights[128] = 0x40;                             // 1.0
+  weights[129] = 0xc0;                             // -1.0
+  std::vector<DecodedOp> wdec(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) wdec[i] = decode_operand(weights[i], p81);
+  const std::vector<std::uint32_t> bias{0x40, 0x20};
+  const ScaleRange full = plane_scale_range(p81, weights.data(), weights.size(), bias.data(), 2);
+  EXPECT_TRUE(full == format_scale_range(p81));
+  KernelSpec wide(p81);
+  ASSERT_TRUE(make_kernel_spec(p81, 128, full, wide));
+  EXPECT_EQ(wide.need_bits, 68u);
+  EXPECT_EQ(wide.limbs, 2);
+  const auto kern = MatmulKernel::create(p81, 128, full);
+  EXPECT_STREQ(kern->name(), avx2 ? "avx2-2limb" : "scalar-blocked");
+  std::vector<std::uint32_t> acts(3 * 128, 0x7f);
+  for (std::size_t i = 128; i < 256; ++i) acts[i] = 0x01;
+  for (std::size_t i = 256; i < 384; i += 2) acts[i] = 0x81;
+  expect_kernels_match_step(p81, 128, weights, bias, acts, 3);
+
+  // posit<8,2> moves off the scalar kernel onto two limbs for a narrow
+  // plane; its activation half alone (4 + 48 bits) never fits one limb.
+  KernelSpec p82(num::Format{num::PositFormat{8, 2}});
+  ASSERT_TRUE(make_kernel_spec(num::Format{num::PositFormat{8, 2}}, 128, ScaleRange{-20, -2}, p82));
+  EXPECT_EQ(p82.limbs, 2);
+  KernelSpec lopsided(num::Format{num::PositFormat{8, 2}});
+  ASSERT_TRUE(make_kernel_spec(num::Format{num::PositFormat{8, 2}}, 1, ScaleRange{0, 0}, lopsided));
+  EXPECT_LE(lopsided.need_bits, 62u);
+  EXPECT_EQ(lopsided.acc_kind, AccKind::kI128);
+  EXPECT_EQ(lopsided.limbs, 2);
+
+  // A range outside the format's is a caller error; a weight outside the
+  // spec's range must not pack.
+  KernelSpec bad(p81);
+  EXPECT_THROW(make_kernel_spec(p81, 128, ScaleRange{-13, 0}, bad), std::invalid_argument);
+  EXPECT_THROW(make_kernel_spec(p81, 128, ScaleRange{2, 1}, bad), std::invalid_argument);
+  for (const ScaleRange& narrower : {ScaleRange{-12, -1}, ScaleRange{0, 12}}) {
+    for (const Factory make : kFactories) {
+      EXPECT_THROW((*make)(p81, 128, narrower)->pack_plane(wdec.data(), 2, bias.data()),
+                   std::invalid_argument);
+    }
   }
 }
 

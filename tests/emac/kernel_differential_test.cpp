@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -55,13 +56,25 @@ struct Case {
   std::size_t rows;
   std::size_t samples;
   std::uint32_t seed;
+  /// When set, weights and biases come from the finite patterns whose sf
+  /// lies here (specials still 1 in 8), and the kernels are sized for the
+  /// plane's own range (plane_scale_range) instead of the format's.
+  std::optional<ScaleRange> window = std::nullopt;
 };
+
+/// Like random_pattern, but finite patterns only from `pool`.
+std::uint32_t random_pattern_from(std::mt19937& rng, const num::Format& fmt,
+                                  const std::vector<std::uint32_t>& pool) {
+  const std::uint32_t b = random_pattern(rng, fmt);
+  return decode_operand(b, fmt).kind == DecodedOp::kFinite ? pool[rng() % pool.size()] : b;
+}
 
 std::string repro(const Case& c, const MatmulKernel& kern) {
   std::ostringstream os;
   os << "reproducer: seed=" << c.seed << " fmt=" << c.fmt.name() << " k=" << c.k
      << " rows=" << c.rows << " samples=" << c.samples << " kernel=" << kern.name()
      << " tile=" << kern.tile();
+  if (c.window) os << " window=[" << c.window->lo << ", " << c.window->hi << "]";
   return os.str();
 }
 
@@ -110,8 +123,21 @@ void run_case(const Case& c) {
   std::vector<std::uint32_t> weight_bits(c.rows * c.k);
   std::vector<std::uint32_t> bias_bits(c.rows);
   std::vector<std::uint32_t> act_bits(c.samples * c.k);
-  for (auto& b : weight_bits) b = random_pattern(rng, c.fmt);
-  for (auto& b : bias_bits) b = random_pattern(rng, c.fmt);
+  std::vector<std::uint32_t> pool;
+  if (c.window) {
+    for (std::uint32_t b = 0; b < (1u << c.fmt.total_bits()); ++b) {
+      const DecodedOp d = decode_operand(b, c.fmt);
+      if (d.kind == DecodedOp::kFinite && d.sf >= c.window->lo && d.sf <= c.window->hi) {
+        pool.push_back(b);
+      }
+    }
+    ASSERT_FALSE(pool.empty());
+  }
+  const auto weight_pattern = [&] {
+    return c.window ? random_pattern_from(rng, c.fmt, pool) : random_pattern(rng, c.fmt);
+  };
+  for (auto& b : weight_bits) b = weight_pattern();
+  for (auto& b : bias_bits) b = weight_pattern();
   for (auto& b : act_bits) b = random_pattern(rng, c.fmt);
 
   // The oracle: the step() recurrence, one virtual call per MAC.
@@ -127,8 +153,13 @@ void run_case(const Case& c) {
     }
   }
 
-  std::unique_ptr<MatmulKernel> dispatched = MatmulKernel::create(c.fmt, c.k);
-  std::unique_ptr<MatmulKernel> scalar = MatmulKernel::create_scalar(c.fmt, c.k);
+  ScaleRange range = format_scale_range(c.fmt);
+  if (c.window) {
+    range = plane_scale_range(c.fmt, weight_bits.data(), weight_bits.size(), bias_bits.data(),
+                              c.rows);
+  }
+  std::unique_ptr<MatmulKernel> dispatched = MatmulKernel::create(c.fmt, c.k, range);
+  std::unique_ptr<MatmulKernel> scalar = MatmulKernel::create_scalar(c.fmt, c.k, range);
   ASSERT_NE(dispatched, nullptr) << c.fmt.name() << " k=" << c.k;
   ASSERT_NE(scalar, nullptr) << c.fmt.name() << " k=" << c.k;
   check_kernel(c, *dispatched, weight_bits, bias_bits, act_bits, expected);
@@ -196,6 +227,31 @@ TEST(KernelDifferential, TwoLimbFormatsAtTheBenchmarkFanIns) {
       ASSERT_TRUE(make_kernel_spec(fmt, k, spec));
       EXPECT_EQ(spec.limbs, 2) << fmt.name() << " k=" << k;
       run_case({fmt, k, /*rows=*/3, /*samples=*/35, seed++});
+    }
+  }
+}
+
+TEST(KernelDifferential, PerPlaneSpecsAcrossPaperGridWindows) {
+  // Planes whose weights and biases hold only part of the format's scale
+  // range — its bottom, its top, its middle, one scale — with activations
+  // over the full range, at a short and the benchmark's fan-ins.
+  std::uint32_t seed = 5301u;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      const ScaleRange f = format_scale_range(fmt);
+      const int q = (f.hi - f.lo) / 4;
+      const int mid = f.lo + (f.hi - f.lo) / 2;
+      for (const ScaleRange window :
+           {ScaleRange{f.lo, f.lo + q}, ScaleRange{f.hi - q, f.hi},
+            ScaleRange{f.lo + q, f.hi - q}, ScaleRange{mid, mid}}) {
+        for (const std::size_t k : {std::size_t{5}, std::size_t{64}, std::size_t{128}}) {
+          const auto probe = MatmulKernel::create(fmt, k, window);
+          ASSERT_NE(probe, nullptr) << fmt.name() << " k=" << k;
+          for (const std::size_t samples : {std::size_t{1}, probe->tile() + 1}) {
+            run_case({fmt, k, /*rows=*/3, samples, seed++, window});
+          }
+        }
+      }
     }
   }
 }

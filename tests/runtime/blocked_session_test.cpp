@@ -38,6 +38,19 @@ std::vector<double> random_batch(std::size_t rows, std::size_t dim, std::uint32_
   return xs;
 }
 
+/// The posit<8,1> random net with minpos and maxpos planted in every layer:
+/// its planes span the format's whole scale range, so they get the
+/// format-wide accumulator.
+nn::QuantizedNetwork full_range_posit81_net() {
+  const num::PositFormat f{8, 1};
+  nn::QuantizedNetwork qnet = nn::quantize(random_net(), num::Format{f});
+  for (nn::QuantizedLayer& layer : qnet.layers) {
+    layer.weights[0] = 0x01;  // minpos, scale -12
+    layer.weights[1] = f.nar_pattern() - 1;  // maxpos, scale 12
+  }
+  return qnet;
+}
+
 std::vector<num::Format> rep_formats() {
   return {num::Format{num::PositFormat{8, 0}}, num::Format{num::PositFormat{8, 1}},
           num::Format{num::PositFormat{5, 1}}, num::Format{num::FloatFormat{4, 3}},
@@ -119,17 +132,22 @@ TEST(BlockedSession, ForcedScalarKernelIsBitIdenticalToDispatched) {
 }
 
 TEST(BlockedSession, PositEightOneDispatchIsPinned) {
-  // posit<8,1>'s bound passes 62 bits, so with AVX2 it takes the two-limb
-  // kernel at tile 16; DP_FORCE_SCALAR_KERNEL pins the portable kernel at
-  // tile 8. Both legs are built here whatever the caller's environment says.
-  const nn::Mlp net = random_net();
-  const num::Format fmt{num::PositFormat{8, 1}};
+  // The random net's posit<8,1> planes span a few binades, so their
+  // accumulators fit one limb: with AVX2 the one-limb kernel at tile 16 and
+  // pre-shifted planes at 4 B a weight. Planes spanning the format's whole
+  // range still pass 62 bits and take the two-limb kernel. Under
+  // DP_FORCE_SCALAR_KERNEL both pin the portable kernel at tile 8. Every leg
+  // is built here whatever the caller's environment says.
+  const nn::QuantizedNetwork qnet = nn::quantize(random_net(), num::Format{num::PositFormat{8, 1}});
+  const nn::QuantizedNetwork full = full_range_posit81_net();
   const char* prior = std::getenv("DP_FORCE_SCALAR_KERNEL");
   const std::string saved = prior != nullptr ? prior : "";
   unsetenv("DP_FORCE_SCALAR_KERNEL");
-  const auto native = Model::create(nn::quantize(net, fmt));
+  const auto native = Model::create(qnet);
+  const auto native_full = Model::create(full);
   setenv("DP_FORCE_SCALAR_KERNEL", "1", /*overwrite=*/1);
-  const auto forced = Model::create(nn::quantize(net, fmt));
+  const auto forced = Model::create(qnet);
+  const auto forced_full = Model::create(full);
   if (prior != nullptr) {
     setenv("DP_FORCE_SCALAR_KERNEL", saved.c_str(), /*overwrite=*/1);
   } else {
@@ -140,10 +158,26 @@ TEST(BlockedSession, PositEightOneDispatchIsPinned) {
 #if defined(DP_HAVE_AVX2_KERNEL)
   avx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
-  EXPECT_STREQ(native->kernel_name(), avx2 ? "avx2-2limb" : "scalar-blocked");
+  EXPECT_STREQ(native->kernel_name(), avx2 ? "avx2" : "scalar-blocked");
   EXPECT_EQ(native->preferred_tile(), avx2 ? 16u : 8u);
-  EXPECT_STREQ(forced->kernel_name(), "scalar-blocked");
-  EXPECT_EQ(forced->preferred_tile(), 8u);
+  EXPECT_EQ(native->packed_bytes_per_weight(), 4.0);
+  EXPECT_STREQ(native_full->kernel_name(), avx2 ? "avx2-2limb" : "scalar-blocked");
+  EXPECT_EQ(native_full->preferred_tile(), avx2 ? 16u : 8u);
+  EXPECT_EQ(native_full->packed_bytes_per_weight(), 8.0);
+  for (const auto* model : {&forced, &forced_full}) {
+    EXPECT_STREQ((*model)->kernel_name(), "scalar-blocked");
+    EXPECT_EQ((*model)->preferred_tile(), 8u);
+  }
+
+  // Every leg against the step oracle.
+  const std::vector<double> flat = random_batch(35, qnet.input_dim(), 23);
+  const BatchView all(flat, qnet.input_dim());
+  const std::vector<std::uint32_t> want = testing::step_forward_rows(qnet, all);
+  const std::vector<std::uint32_t> want_full = testing::step_forward_rows(full, all);
+  EXPECT_EQ(Session(native, {2}).forward_bits(all).data, want);
+  EXPECT_EQ(Session(forced, {2}).forward_bits(all).data, want);
+  EXPECT_EQ(Session(native_full, {2}).forward_bits(all).data, want_full);
+  EXPECT_EQ(Session(forced_full, {2}).forward_bits(all).data, want_full);
 }
 
 TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
@@ -237,14 +271,16 @@ TEST(BlockedSession, ReluLayerSeesEveryPatternAndMatchesStepOracle) {
 TEST(BlockedSession, PackedPlanesTakeFourBytesPerWeightOnOneLimb) {
   // One-limb kernels keep one pre-shifted int32 operand a weight; the
   // two-limb kernel keeps significand and shift; a model with no kernel
-  // packs nothing.
+  // packs nothing. posit<8,1> takes one limb for the random net's planes and
+  // two for planes spanning the format's whole range.
   const nn::Mlp net = random_net();
   EXPECT_EQ(Model(nn::quantize(net, num::Format{num::PositFormat{8, 0}})).packed_bytes_per_weight(),
             4.0);
   EXPECT_EQ(Model(nn::quantize(net, num::Format{num::FixedFormat{8, 6}})).packed_bytes_per_weight(),
             4.0);
   EXPECT_EQ(Model(nn::quantize(net, num::Format{num::PositFormat{8, 1}})).packed_bytes_per_weight(),
-            8.0);
+            4.0);
+  EXPECT_EQ(Model(full_range_posit81_net()).packed_bytes_per_weight(), 8.0);
   EXPECT_EQ(
       Model(nn::quantize(net, num::Format{num::PositFormat{16, 2}})).packed_bytes_per_weight(),
       0.0);

@@ -198,6 +198,69 @@ TEST(RuntimeSession, ValidatesInputs) {
   EXPECT_EQ(session.accuracy(empty, std::span<const int>{}), 0.0);
 }
 
+/// The decoded-score argmax Model::argmax_bits replaced: the first strictly
+/// greatest Format::to_double score, NaN comparing false.
+int to_double_argmax(const num::Format& fmt, const std::vector<std::uint32_t>& bits) {
+  int best = 0;
+  double best_score = bits.empty() ? 0.0 : fmt.to_double(bits[0]);
+  for (std::size_t i = 1; i < bits.size(); ++i) {
+    const double score = fmt.to_double(bits[i]);
+    if (score > best_score) {
+      best = static_cast<int>(i);
+      best_score = score;
+    }
+  }
+  return best;
+}
+
+TEST(RuntimeSession, ArgmaxBitsMatchesDecodedScoresOnEveryPatternPair) {
+  // Every ordered pair of patterns of every 8-bit paper-grid format, plus
+  // rows with NaR/NaN and both zeros at the front, the middle and the end.
+  for (const num::Format& fmt : num::paper_format_grid(8)) {
+    SCOPED_TRACE(fmt.name());
+    nn::QuantizedNetwork qnet{fmt, {}};
+    nn::QuantizedLayer layer;
+    layer.fan_in = 1;
+    layer.fan_out = 2;
+    layer.weights.assign(2, fmt.from_double(1.0));
+    layer.bias.assign(2, fmt.from_double(0.0));
+    qnet.layers.push_back(std::move(layer));
+    const auto model = Model::create(qnet);
+    for (std::uint32_t a = 0; a < 256; ++a) {
+      for (std::uint32_t b = 0; b < 256; ++b) {
+        const std::vector<std::uint32_t> row{a, b};
+        ASSERT_EQ(model->argmax_bits(row), to_double_argmax(fmt, row)) << a << ", " << b;
+      }
+    }
+    std::vector<std::uint32_t> specials{fmt.from_double(0.0), fmt.from_double(-0.0)};
+    switch (fmt.kind()) {
+      case num::Kind::kPosit:
+        specials.push_back(fmt.posit().nar_pattern());
+        break;
+      case num::Kind::kFloat:
+        specials.push_back(num::float_zero(fmt.flt(), /*neg=*/true));
+        specials.push_back(num::float_nan(fmt.flt()));
+        specials.push_back(num::float_nan(fmt.flt()) | 0x80u);
+        break;
+      case num::Kind::kFixed:
+        break;
+    }
+    const std::vector<std::uint32_t> others{fmt.from_double(-1.0), fmt.from_double(0.5),
+                                            fmt.from_double(-0.25), fmt.from_double(0.5)};
+    for (const std::uint32_t sp : specials) {
+      for (std::size_t at = 0; at <= others.size(); ++at) {
+        std::vector<std::uint32_t> row = others;
+        row.insert(row.begin() + static_cast<std::ptrdiff_t>(at), sp);
+        EXPECT_EQ(model->argmax_bits(row), to_double_argmax(fmt, row)) << sp << " at " << at;
+        std::vector<std::uint32_t> pair_row(row.size(), sp);
+        pair_row[at] = fmt.from_double(-0.0);
+        EXPECT_EQ(model->argmax_bits(pair_row), to_double_argmax(fmt, pair_row))
+            << sp << " around " << at;
+      }
+    }
+  }
+}
+
 TEST(RuntimeSession, HardwareConcurrencyDefaultWorks) {
   const nn::Mlp net = random_net();
   Session session(Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 1}})),

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <future>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -171,56 +173,62 @@ TEST(ServeBatcher, ValidatesSampleDimensionAndOptions) {
 
 // Two dispatchers, a full heavy micro-batch in flight, then a lone request:
 // the lone request's deadline flush must be dispatched by the idle sibling
-// and (almost always) complete while the big batch is still running —
-// overlapping micro-batches finishing out of submission order. Per-request
-// completion means this must never mix up results, which is asserted on
-// every attempt; the out-of-order observation itself is asserted across a
-// handful of attempts to be robust to scheduler noise.
+// and complete while the big batch is still running — overlapping
+// micro-batches finishing out of submission order. The order is forced, not
+// raced: the big batch's first callback blocks (for at most 10 s) until the
+// lone reply has arrived, so the lone request overtakes on every attempt on
+// any host. Per-request completion means this must never mix up results,
+// which is asserted on every attempt too.
 TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
   const auto model = heavy_model();
   const std::size_t dim = model->input_dim();
   const std::size_t big = 16;
 
-  bool observed_out_of_order = false;
-  // Whether the lone request overtakes is scheduling luck per attempt (an
-  // oversubscribed host can serialize the two dispatchers); correctness is
-  // asserted on every attempt, the overtake just needs to happen once.
-  for (int attempt = 0; attempt < 30 && !observed_out_of_order; ++attempt) {
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
     BatcherOptions opts;
     opts.max_batch = big;
     opts.max_wait = 500us;  // the lone request flushes almost immediately
     opts.dispatchers = 2;
-    DynamicBatcher batcher(model, opts);
 
     const std::vector<double> xs =
         random_rows(big + 1, dim, static_cast<std::uint32_t>(100 + attempt));
     std::atomic<std::size_t> big_done{0};  // incremented inside completion callbacks
     std::atomic<bool> lone_overtook{false};
+    std::atomic<bool> first_big_callback{true};
+    std::promise<void> lone_arrived;
+    const std::shared_future<void> lone_seen = lone_arrived.get_future().share();
     std::vector<std::promise<Reply>> big_promises(big);
     std::vector<std::future<Reply>> big_futures;
+    std::promise<Reply> lone_promise;
+    std::future<Reply> lone_future = lone_promise.get_future();
+    // Declared after the state its callbacks touch, so it joins its
+    // dispatchers before any of that state is destroyed.
+    DynamicBatcher batcher(model, opts);
     for (std::size_t i = 0; i < big; ++i) {
       big_futures.push_back(big_promises[i].get_future());
       batcher.submit(std::span(xs).subspan(i * dim, dim),
                      [&, i](Status s, std::span<const std::uint32_t> bits) {
+                       // A dispatcher runs one batch's callbacks in order, so
+                       // holding the first one holds the whole batch open.
+                       if (first_big_callback.exchange(false)) lone_seen.wait_for(10s);
                        big_done.fetch_add(1);
                        big_promises[i].set_value(Reply{s, {bits.begin(), bits.end()}});
                      });
     }
-    // Wait until the full batch is carved and in flight so the lone request
-    // can only land in a *second*, overlapping micro-batch.
+    // Wait until every big row is carved so the lone request can only land
+    // in a later, overlapping micro-batch.
     const auto carve_deadline = std::chrono::steady_clock::now() + 5s;
     while (std::chrono::steady_clock::now() < carve_deadline) {
       const BatcherStats s = batcher.stats();
-      if (s.in_flight >= 1 && s.queue_depth == 0) break;
-      if (big_done.load() == big) break;  // batch already finished: attempt lost
+      if (s.batches >= 1 && s.queue_depth == 0) break;
       std::this_thread::yield();
     }
-    std::promise<Reply> lone_promise;
-    std::future<Reply> lone_future = lone_promise.get_future();
     batcher.submit(std::span(xs).subspan(big * dim, dim),
                    [&](Status s, std::span<const std::uint32_t> bits) {
                      if (big_done.load() < big) lone_overtook = true;
                      lone_promise.set_value(Reply{s, {bits.begin(), bits.end()}});
+                     lone_arrived.set_value();
                    });
     ASSERT_EQ(lone_future.wait_for(10s), std::future_status::ready);
 
@@ -234,13 +242,12 @@ TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
       EXPECT_EQ(reply.status, Status::kOk);
       EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
     }
-    if (lone_overtook.load()) observed_out_of_order = true;
+    EXPECT_TRUE(lone_overtook.load())
+        << "lone micro-batch did not complete while the big one was in flight";
     // Normally exactly 2 (the full batch + the lone deadline flush); a
     // heavily loaded host may split the first burst across more.
     EXPECT_GE(batcher.stats().batches, 2u);
   }
-  EXPECT_TRUE(observed_out_of_order)
-      << "lone micro-batch never completed while the big one was in flight";
 }
 
 TEST(ServeBatcher, ExpiredDeadlineIsShedInlineWithoutQueueing) {
