@@ -160,21 +160,25 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
       if (stop_) return;  // drained: every accepted request was flushed
       continue;
     }
-    // Flush decision: size trigger, deadline trigger, shutdown drain — or
-    // the front request's shed deadline, so an expired request is answered
-    // kDeadlineExceeded promptly instead of parking until max_wait.
-    bool deadline_due = stop_;
-    if (depth_locked() < opts_.max_batch && !stop_) {
+    // Flush decision: size trigger, shutdown drain, or an idle lane — no
+    // sibling dispatcher is busy, so holding the rows would only idle this
+    // core. Behind a busy sibling, the deadline trigger applies: the front
+    // request's max_wait, or its shed deadline, so an expired request is
+    // answered kDeadlineExceeded promptly instead of parking until max_wait.
+    const bool below_size = depth_locked() < opts_.max_batch;
+    if (below_size && !stop_ && busy_ > 0) {
       const auto flush_at = std::min(pending_[head_].enqueued + opts_.max_wait,
                                      pending_[head_].deadline);
       if (Clock::now() < flush_at) {
         // Sleep until the oldest request's deadline; a submit that reaches
-        // the size trigger (or shutdown) notifies and re-evaluates sooner.
+        // the size trigger (or shutdown) notifies and re-evaluates sooner,
+        // and a sibling that goes idle carves the rows itself.
         cv_.wait_until(lk, flush_at);
         continue;
       }
-      deadline_due = true;
     }
+    const bool carve_all = stop_ || below_size;  // only a size trigger trims
+    ++busy_;
 
     // Carve up to max_batch rows off the queue front while holding the lock
     // (memcpy of doubles + callback moves; the inference runs unlocked).
@@ -182,13 +186,13 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
     // reach the Session — and the carve only advances head_; compaction
     // below is amortized O(1)/row.
     std::size_t take = std::min(depth_locked(), opts_.max_batch);
-    if (!deadline_due && tile_ > 1 && take > tile_) {
+    if (!carve_all && tile_ > 1 && take > tile_) {
       // Size-triggered burst carve: trim to whole kernel tiles so the
       // blocked matmul never sees a ragged tail mid-burst. The carve always
       // starts at the queue front, so trimming only defers TAIL rows — the
-      // oldest request still leaves now, and a deadline/shutdown flush (the
-      // deadline_due path) is never trimmed, preserving max_wait even when
-      // fewer than tile_ rows are pending.
+      // oldest request still leaves now, and an idle-lane, deadline or
+      // shutdown flush (the carve_all path) is never trimmed, so no request
+      // waits on alignment when fewer than tile_ rows are pending.
       const std::size_t aligned = take - take % tile_;
       if (aligned != 0) take = aligned;
     }
@@ -244,6 +248,7 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
     shed_meta.clear();
     if (live == 0) {
       lk.lock();
+      --busy_;
       continue;
     }
 
@@ -274,6 +279,7 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
     }
     batch_meta.clear();
     lk.lock();
+    --busy_;
   }
 }
 

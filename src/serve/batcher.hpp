@@ -6,17 +6,23 @@
 // coalescing is the append: a flush is a BatchView pointed straight at the
 // carved rows, no per-row gather). Dispatcher threads — each owning a
 // private runtime::Session over the shared Model — carve micro-batches off
-// the queue front and flush when EITHER
+// the queue front. The batcher is work-conserving: a dispatcher that finds
+// rows queued while no sibling dispatcher is busy carves them at once (up
+// to max_batch), so a lane never idles with work queued and batches form
+// from the requests that arrive while compute is busy (Clipper's adaptive
+// batching; Triton's dynamic batcher with zero queue delay). Behind a busy
+// sibling, which only dispatchers >= 2 can have, a dispatcher flushes when
+// EITHER
 //
 //   * size:     max_batch rows are pending, or
 //   * deadline: the oldest pending request has waited max_wait
 //
-// whichever comes first, so a lone request is never parked longer than
-// max_wait and a burst fills whole batches. Admission applies backpressure:
-// when queue_capacity rows are already pending, submit completes
-// immediately with Status::kQueueFull instead of growing the queue without
-// bound (reject-at-admission keeps the tail latency of *accepted* requests
-// bounded by max_wait + one batch's service time).
+// whichever comes first. "Busy" means outside the wait: carving, computing
+// or running a batch's callbacks. Admission applies backpressure: when
+// queue_capacity rows are already pending, submit completes immediately
+// with Status::kQueueFull instead of growing the queue without bound
+// (reject-at-admission keeps the tail latency of *accepted* requests bounded
+// by the batches queued ahead of them, plus max_wait behind a busy sibling).
 //
 // Requests may carry a DEADLINE (the protocol-v3 budget, converted to a
 // steady-clock instant at decode): a request whose deadline passes while it
@@ -62,8 +68,10 @@ struct BatcherOptions {
   /// Rows per micro-batch flush; a size-triggered flush fires as soon as
   /// this many are pending.
   std::size_t max_batch = 32;
-  /// Deadline flush: the oldest pending request never waits longer than
-  /// this before its micro-batch is dispatched (even a batch of one).
+  /// Deadline flush behind a busy sibling dispatcher: a dispatcher that sees
+  /// another dispatcher of this batcher busy holds the queued rows until the
+  /// oldest has waited this long (or max_batch are pending). An idle lane
+  /// never holds a row, so with dispatchers = 1 this has no effect.
   std::chrono::microseconds max_wait{1000};
   /// Admission bound on pending (not yet carved) rows; beyond it, submit
   /// rejects with Status::kQueueFull.
@@ -84,9 +92,9 @@ struct BatcherOptions {
   /// Align SIZE-TRIGGERED flushes to a multiple of this many rows, so burst
   /// carves hand the Model's register-blocked kernels whole sample tiles
   /// (a ragged tail re-reads every weight plane for a fraction of a tile).
-  /// 0 = auto: the model's preferred kernel tile. Deadline and shutdown
-  /// flushes are never trimmed — a lone request still leaves after max_wait
-  /// regardless of alignment (tests/runtime/blocked_session_test.cpp).
+  /// 0 = auto: the model's preferred kernel tile. Idle-lane, deadline and
+  /// shutdown flushes are never trimmed — a lone request never waits on
+  /// alignment (tests/runtime/blocked_session_test.cpp).
   std::size_t tile_align = 0;
 };
 
@@ -176,6 +184,10 @@ class DynamicBatcher {
   mutable std::mutex m_;
   std::condition_variable cv_;
   bool stop_ = false;
+  // Dispatchers outside the wait: carving, computing or running callbacks.
+  // The idle-lane carve keys on this, not on in_flight_, which drops before
+  // the callbacks run: a sibling still delivering replies counts as busy.
+  std::size_t busy_ = 0;
   // The admission queue: row i of pending_x_ belongs to pending_[i]. One
   // contiguous row-major buffer so a carve is memcpy + BatchView, never a
   // per-row gather. Carves advance head_ instead of erasing from the front

@@ -1,7 +1,9 @@
-// DynamicBatcher contract tests: the flush triggers (size, deadline,
-// shutdown drain), admission backpressure, per-request completion under
-// overlapping out-of-order micro-batches, and bit-identity of everything it
-// serves against a direct runtime::Session on the same rows.
+// DynamicBatcher contract tests: the flush triggers (idle lane, size,
+// deadline behind a busy dispatcher, shutdown drain), admission
+// backpressure, per-request completion under overlapping out-of-order
+// micro-batches, and bit-identity of everything it serves against a direct
+// runtime::Session on the same rows. A busy dispatcher is held by a
+// testing::LaneBlocker (lane_blocker.hpp), never by a timing race.
 
 #include "serve/batcher.hpp"
 
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "lane_blocker.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -61,7 +64,9 @@ TEST(ServeBatcher, LoneRequestFlushesOnDeadline) {
   BatcherOptions opts;
   opts.max_batch = 64;  // never reached: the deadline must fire
   opts.max_wait = 20ms;
+  opts.dispatchers = 2;  // one held busy: the other applies max_wait
   DynamicBatcher batcher(model, opts);
+  testing::LaneBlocker blocker(batcher);
 
   const std::vector<double> x = random_rows(1, model->input_dim(), 1);
   const auto t0 = std::chrono::steady_clock::now();
@@ -74,20 +79,161 @@ TEST(ServeBatcher, LoneRequestFlushesOnDeadline) {
   EXPECT_EQ(reply.bits, direct_bits(model, x));
   EXPECT_GE(waited, 15ms) << "flushed before the deadline with no size trigger";
 
+  // Counts include the blocker's row and batch.
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.mean_occupancy, 1.0);
+  EXPECT_GT(stats.wait_p50_us, 0.0);
+}
+
+TEST(ServeBatcher, IdleLaneServesALoneRequestAtOnce) {
+  // Work conservation: no dispatcher is busy, so the lone request is carved
+  // as soon as a dispatcher sees it — a 10 s max_wait never comes into play.
+  const auto model = small_model();
+  BatcherOptions opts;
+  opts.max_batch = 64;
+  opts.max_wait = 10s;
+  DynamicBatcher batcher(model, opts);
+
+  const std::vector<double> x = random_rows(1, model->input_dim(), 7);
+  std::future<Reply> fut = batcher.submit(x);
+  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready)
+      << "an idle lane held a lone request for max_wait";
+  const Reply reply = fut.get();
+  EXPECT_EQ(reply.status, Status::kOk);
+  EXPECT_EQ(reply.bits, direct_bits(model, x));
+
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.accepted, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.mean_occupancy, 1.0);
-  EXPECT_GT(stats.wait_p50_us, 0.0);
+}
+
+TEST(ServeBatcher, RowsQueuedBehindAHeldDispatcherLeaveAsOneBatchOnRelease) {
+  // The one dispatcher is parked in the blocker's callback, so N < max_batch
+  // rows pile up; once it is free the lane is idle and it carves all N, in
+  // one batch, without waiting out the 10 s max_wait.
+  const auto model = small_model();
+  BatcherOptions opts;
+  opts.max_batch = 64;
+  opts.max_wait = 10s;
+  DynamicBatcher batcher(model, opts);
+  testing::LaneBlocker blocker(batcher);
+
+  constexpr std::size_t kRows = 5;
+  const std::size_t dim = model->input_dim();
+  const std::vector<double> xs = random_rows(kRows, dim, 8);
+  std::vector<std::future<Reply>> futures;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    futures.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
+  }
+  ASSERT_TRUE(testing::await([&] { return batcher.stats().queue_depth == kRows; }));
+  EXPECT_EQ(batcher.stats().batches, 1u) << "only the blocker's batch may have left";
+
+  blocker.release();
+  for (std::size_t i = 0; i < kRows; ++i) {
+    ASSERT_EQ(futures[i].wait_for(5s), std::future_status::ready) << "row " << i;
+    const Reply reply = futures[i].get();
+    EXPECT_EQ(reply.status, Status::kOk);
+    EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
+  }
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 2u) << "the queued rows must leave as exactly one more batch";
+  EXPECT_EQ(stats.completed, kRows + 1);
+}
+
+TEST(ServeBatcher, SizeTriggeredBurstBehindAHeldDispatcherIsTrimmedToTiles) {
+  // Behind a busy sibling the free dispatcher holds rows for max_wait (10 s)
+  // until the size trigger fires, and a size-triggered carve is trimmed to
+  // whole kernel tiles: max_batch = 2 tiles + 3 leaves exactly 2 tiles.
+  const auto model = small_model();
+  const std::size_t dim = model->input_dim();
+  BatcherOptions opts;
+  opts.tile_align = 4;
+  opts.max_batch = 2 * opts.tile_align + 3;
+  opts.max_wait = 10s;
+  opts.dispatchers = 2;
+  DynamicBatcher batcher(model, opts);
+  ASSERT_EQ(batcher.tile(), 4u);
+  testing::LaneBlocker blocker(batcher);
+
+  const std::size_t burst = opts.max_batch;
+  const std::vector<double> xs = random_rows(burst, dim, 9);
+  std::vector<std::future<Reply>> futures;
+  for (std::size_t i = 0; i < burst; ++i) {
+    futures.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
+  }
+  for (std::size_t i = 0; i < 2 * batcher.tile(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(5s), std::future_status::ready) << "row " << i;
+    const Reply reply = futures[i].get();
+    EXPECT_EQ(reply.status, Status::kOk);
+    EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
+  }
+  {
+    // The trimmed tail is still queued behind the busy sibling.
+    const BatcherStats stats = batcher.stats();
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.completed, 2 * batcher.tile() + 1);
+    EXPECT_EQ(stats.queue_depth, burst - 2 * batcher.tile());
+  }
+  blocker.release();
+  for (std::size_t i = 2 * batcher.tile(); i < burst; ++i) {
+    ASSERT_EQ(futures[i].wait_for(5s), std::future_status::ready) << "row " << i;
+    const Reply reply = futures[i].get();
+    EXPECT_EQ(reply.status, Status::kOk);
+    EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
+  }
+  EXPECT_EQ(batcher.stats().completed, burst + 1);
+}
+
+TEST(ServeBatcher, ShutdownWithAHeldDispatcherDrainsEveryAcceptedRequest) {
+  // The free dispatcher holds the rows behind its busy sibling (10 s
+  // max_wait), so only the shutdown drain can carve them — and it must, even
+  // while the other dispatcher is still parked.
+  const auto model = small_model();
+  BatcherOptions opts;
+  opts.max_batch = 64;
+  opts.max_wait = 10s;
+  opts.dispatchers = 2;
+  DynamicBatcher batcher(model, opts);
+  std::future<void> stopping;
+  testing::LaneBlocker blocker(batcher);  // released before `stopping` joins
+
+  constexpr std::size_t kRows = 3;
+  const std::size_t dim = model->input_dim();
+  const std::vector<double> xs = random_rows(kRows, dim, 10);
+  std::vector<std::future<Reply>> accepted;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    accepted.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
+  }
+  ASSERT_TRUE(testing::await([&] { return batcher.stats().queue_depth == kRows; }));
+
+  // shutdown() joins the held dispatcher too, so it runs on its own thread.
+  stopping = std::async(std::launch::async, [&] { batcher.shutdown(); });
+  for (std::size_t i = 0; i < kRows; ++i) {
+    ASSERT_EQ(accepted[i].wait_for(5s), std::future_status::ready)
+        << "row " << i << " was not drained while a dispatcher was held";
+    const Reply reply = accepted[i].get();
+    EXPECT_EQ(reply.status, Status::kOk);
+    EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
+  }
+  // The drain ran because shutdown began, so admission is already closed.
+  EXPECT_EQ(batcher.submit(std::span(xs).subspan(0, dim)).get().status, Status::kShutdown);
+  blocker.release();
+  stopping.get();
+  EXPECT_EQ(batcher.stats().completed, kRows + 1);
 }
 
 TEST(ServeBatcher, ExactCapacityBurstCoalescesIntoOneFullBatch) {
   const auto model = small_model();
   BatcherOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = 10s;  // only the size trigger can fire inside the test
+  opts.max_wait = 10s;   // only the size trigger can fire inside the test
+  opts.dispatchers = 2;  // one held busy, so the other holds for max_wait
   DynamicBatcher batcher(model, opts);
+  testing::LaneBlocker blocker(batcher);
 
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(opts.max_batch, dim, 2);
@@ -103,20 +249,23 @@ TEST(ServeBatcher, ExactCapacityBurstCoalescesIntoOneFullBatch) {
   }
 
   // With the deadline out of reach, the only possible flush is one batch of
-  // exactly max_batch rows — occupancy must be perfect.
+  // exactly max_batch rows — occupancy must be perfect. Counts include the
+  // blocker's row and batch.
   const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.completed, opts.max_batch);
-  EXPECT_EQ(stats.mean_occupancy, static_cast<double>(opts.max_batch));
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.completed, opts.max_batch + 1);
+  EXPECT_EQ(stats.mean_occupancy, static_cast<double>(opts.max_batch + 1) / 2.0);
 }
 
 TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
   const auto model = small_model();
   BatcherOptions opts;
   opts.max_batch = 64;
-  opts.max_wait = 10s;  // park the accepted rows; only shutdown will flush
+  opts.max_wait = 10s;
   opts.queue_capacity = 4;
   DynamicBatcher batcher(model, opts);
+  // Park the one dispatcher: the accepted rows stay queued until release.
+  testing::LaneBlocker blocker(batcher);
 
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(6, dim, 3);
@@ -132,13 +281,16 @@ TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
     EXPECT_EQ(rejected.get().status, Status::kQueueFull);
   }
   {
+    // Counts include the blocker's (already carved) row.
     const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.accepted, 4u);
+    EXPECT_EQ(stats.accepted, 5u);
     EXPECT_EQ(stats.rejected, 2u);
     EXPECT_EQ(stats.queue_depth, 4u);
   }
 
-  // Shutdown drains: every accepted request is served, never dropped.
+  // Free the dispatcher and shut down: every accepted request is served,
+  // never dropped.
+  blocker.release();
   batcher.shutdown();
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     ASSERT_EQ(accepted[i].wait_for(5s), std::future_status::ready) << i;
@@ -146,7 +298,7 @@ TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
     EXPECT_EQ(reply.status, Status::kOk);
     EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
   }
-  EXPECT_EQ(batcher.stats().completed, 4u);
+  EXPECT_EQ(batcher.stats().completed, 5u);
 }
 
 TEST(ServeBatcher, SubmitAfterShutdownCompletesWithShutdownStatus) {
@@ -244,8 +396,8 @@ TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
     }
     EXPECT_TRUE(lone_overtook.load())
         << "lone micro-batch did not complete while the big one was in flight";
-    // Normally exactly 2 (the full batch + the lone deadline flush); a
-    // heavily loaded host may split the first burst across more.
+    // At least the burst's batch and the lone flush; the burst itself may
+    // split, since an idle dispatcher carves whatever has arrived.
     EXPECT_GE(batcher.stats().batches, 2u);
   }
 }
@@ -281,10 +433,12 @@ TEST(ServeBatcher, DeadlineExpiringWhileQueuedIsShedBeforeTheSession) {
   BatcherOptions opts;
   opts.max_batch = 64;   // size trigger never fires
   opts.max_wait = 50ms;  // ...and the wait flush comes after the deadline
+  opts.dispatchers = 2;  // one held busy: the other applies the wait rule
   DynamicBatcher batcher(model, opts);
+  testing::LaneBlocker blocker(batcher);
   const std::vector<double> x = random_rows(1, model->input_dim(), 6);
 
-  // A deadline shorter than max_wait: the dispatcher must wake at the
+  // A deadline shorter than max_wait: the free dispatcher must wake at the
   // DEADLINE (not park until max_wait) and shed without running inference.
   const auto t0 = std::chrono::steady_clock::now();
   std::future<Reply> doomed;
@@ -306,10 +460,11 @@ TEST(ServeBatcher, DeadlineExpiringWhileQueuedIsShedBeforeTheSession) {
   // Shed promptly at the deadline, well before the 50ms wait flush.
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 45ms);
 
+  // Counts include the blocker's row, the only one that reached a Session.
   const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.completed, 0u) << "a shed request must never reach a Session";
+  EXPECT_EQ(stats.completed, 1u) << "a shed request must never reach a Session";
 
   // The batcher still serves in-budget requests afterwards.
   std::future<Reply> ok = batcher.submit(x);

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "lane_blocker.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -458,10 +459,11 @@ TEST(Resilience, RateLimitAnswersOverloadedWithoutTouchingABatcher) {
 }
 
 TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
-  // Ordering, not CPU speed, decides which requests fit their budget. The
-  // head of the burst has no deadline, so the single dispatcher holds the
-  // whole queue until the head's max_wait flush (max_batch is above the
-  // burst, so no size flush comes first). The tail's budget is far shorter
+  // Ordering, not CPU speed, decides which requests fit their budget. One
+  // of the lane's two dispatchers is held busy, so the other applies the
+  // max_wait rule. The head of the burst has no deadline, so that dispatcher
+  // holds the whole queue until the head's max_wait flush (max_batch is above
+  // the burst, so no size flush comes first). The tail's budget is far shorter
   // than that wait: every tail request has expired when the flush carves it
   // (only a client that took nearly all of max_wait to write the burst could
   // land a tail request inside its budget). So exactly the head is served and the
@@ -475,8 +477,9 @@ TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
   constexpr std::size_t kBurst = 32;
   opts.batcher.max_batch = 2 * kBurst;
   opts.batcher.max_wait = kMaxWait;
-  opts.batcher.dispatchers = 1;
+  opts.batcher.dispatchers = 2;
   Server server(model, opts);
+  testing::LaneBlocker blocker(server.registry(), 0);
 
   Client client = server.connect();
   std::vector<std::uint64_t> ids;
@@ -503,7 +506,8 @@ TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
   EXPECT_EQ(stats.batcher.deadline_exceeded, shed);
   // Dead-on-arrival sheds (DynamicBatcher::submit) count in
   // deadline_exceeded but not in accepted, so this also checks that none
-  // happened: the tail's budget leaves the server 10 ms to submit it.
+  // happened: the tail's budget leaves the server 10 ms to submit it. The
+  // blocker's row counts once on each side.
   EXPECT_EQ(stats.batcher.accepted, stats.batcher.completed + stats.batcher.deadline_exceeded);
   const std::string page = server.metrics_text();
   EXPECT_NE(page.find("dp_model_deadline_exceeded"), std::string::npos);

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "lane_blocker.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -114,9 +115,12 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   const auto new_model = posit_model(43);  // same format, new weights: different bits
   BatcherOptions parked;
   parked.max_batch = 64;
-  parked.max_wait = 10s;  // only shutdown (the swap's drain) can flush it
+  parked.max_wait = 10s;   // only shutdown (the swap's drain) can flush it...
+  parked.dispatchers = 2;  // ...behind the dispatcher the blocker holds
   registry.load("m", old_model, parked);
   const std::vector<double> x = random_row(old_model->input_dim(), 2);
+  std::future<void> swapping;
+  testing::LaneBlocker blocker(registry, 0);  // released before `swapping` joins
 
   std::future<Reply> fut;
   {
@@ -124,8 +128,13 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
     fut = lease->lane(0).submit(x);
   }
   // Swap. load() must first wait out leases, then drain the old batcher —
-  // the parked request is flushed through the OLD model's Session.
-  registry.load("m", new_model);
+  // the parked request is flushed through the OLD model's Session. The
+  // drain joins the held dispatcher too, so the swap runs on its own thread
+  // and the reply arrives while the blocker still holds.
+  swapping = std::async(std::launch::async, [&] { registry.load("m", new_model); });
+  ASSERT_EQ(fut.wait_for(10s), std::future_status::ready) << "the swap did not drain";
+  blocker.release();
+  swapping.get();
   const Reply reply = fut.get();
   ASSERT_EQ(reply.status, Status::kOk);
   runtime::Session old_direct(old_model);
@@ -180,13 +189,20 @@ TEST(ServeRegistry, UnloadDrainsRemovesAndClearsTheDefault) {
   const auto model = posit_model();
   BatcherOptions parked;
   parked.max_batch = 64;
-  parked.max_wait = 10s;
+  parked.max_wait = 10s;   // only the unload's drain can flush it...
+  parked.dispatchers = 2;  // ...behind the dispatcher the blocker holds
   registry.load("m", model, parked);
   const std::vector<double> x = random_row(model->input_dim(), 3);
+  std::future<bool> unloading;
+  testing::LaneBlocker blocker(registry, 0);  // released before `unloading` joins
   std::future<Reply> fut = registry.acquire("m")->lane(0).submit(x);
 
   EXPECT_FALSE(registry.unload("nope"));
-  EXPECT_TRUE(registry.unload("m"));
+  // unload() joins the held dispatcher too, so it runs on its own thread.
+  unloading = std::async(std::launch::async, [&] { return registry.unload("m"); });
+  ASSERT_EQ(fut.wait_for(10s), std::future_status::ready) << "the unload did not drain";
+  blocker.release();
+  EXPECT_TRUE(unloading.get());
   EXPECT_EQ(fut.get().status, Status::kOk);  // drained, not dropped
   EXPECT_FALSE(registry.has("m"));
   EXPECT_EQ(registry.default_name(), "");
@@ -203,14 +219,27 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   const auto model = posit_model();
   BatcherOptions parked;
   parked.max_batch = 64;
-  parked.max_wait = 10s;
+  parked.max_wait = 10s;   // only the shutdown drain can flush them...
+  parked.dispatchers = 2;  // ...behind the dispatchers the blockers hold
   registry.load("a", model, parked);
   registry.load("b", model, parked);
   const std::vector<double> x = random_row(model->input_dim(), 4);
+  std::future<void> stopping;
+  // Released before `stopping` joins.
+  testing::LaneBlocker block_a(registry, 0, "a");
+  testing::LaneBlocker block_b(registry, 0, "b");
   std::future<Reply> fa = registry.acquire("a")->lane(0).submit(x);
   std::future<Reply> fb = registry.acquire("b")->lane(0).submit(x);
 
-  registry.shutdown_all();
+  // The drain joins each held dispatcher, entry by entry in name order, so
+  // it runs on its own thread and each reply arrives while its entry's
+  // blocker still holds.
+  stopping = std::async(std::launch::async, [&] { registry.shutdown_all(); });
+  ASSERT_EQ(fa.wait_for(10s), std::future_status::ready) << "entry a was not drained";
+  block_a.release();
+  ASSERT_EQ(fb.wait_for(10s), std::future_status::ready) << "entry b was not drained";
+  block_b.release();
+  stopping.get();
   EXPECT_EQ(fa.get().status, Status::kOk);
   EXPECT_EQ(fb.get().status, Status::kOk);
   EXPECT_FALSE(registry.acquire(""));
@@ -222,8 +251,9 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   // symmetrically so nothing can erase that final state.
   EXPECT_NE(registry.model(""), nullptr);
   ASSERT_TRUE(registry.stats("a").has_value());
-  EXPECT_EQ(registry.stats("a")->completed, 1u);
-  EXPECT_EQ(registry.stats("b")->completed, 1u);
+  // Each entry also completed its blocker's row.
+  EXPECT_EQ(registry.stats("a")->completed, 2u);
+  EXPECT_EQ(registry.stats("b")->completed, 2u);
   EXPECT_FALSE(registry.unload("a"));
   EXPECT_THROW(registry.set_default("b"), std::runtime_error);
   EXPECT_TRUE(registry.stats("a").has_value());

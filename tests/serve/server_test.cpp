@@ -11,11 +11,13 @@
 #include <poll.h>
 
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "lane_blocker.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -85,8 +87,10 @@ TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts;
   opts.batcher.max_batch = 2;
-  opts.batcher.max_wait = 10s;  // only the size trigger can flush
+  opts.batcher.max_wait = 10s;   // only the size trigger can flush...
+  opts.batcher.dispatchers = 2;  // ...while the other dispatcher is held busy
   Server server(model, opts);
+  testing::LaneBlocker blocker(server.registry(), 0);
   Client a = server.connect();
   Client b = server.connect();
 
@@ -109,9 +113,11 @@ TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
     std::this_thread::sleep_for(1ms);
     stats = server.stats();
   }
+  // Batch counts include the blocker's batch of one (it never crossed the
+  // wire, so the frame counters do not see it).
   EXPECT_EQ(stats.connections, 2u);
-  EXPECT_EQ(stats.batcher.batches, 1u);
-  EXPECT_EQ(stats.batcher.mean_occupancy, 2.0);
+  EXPECT_EQ(stats.batcher.batches, 2u);
+  EXPECT_EQ(stats.batcher.mean_occupancy, 1.5);
   EXPECT_EQ(stats.frames_in, 2u);
   EXPECT_EQ(stats.frames_out, 2u);
 }
@@ -121,9 +127,12 @@ TEST(ServeServer, QueueFullSurfacesOnTheWireAndDrainAnswersTheAccepted) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts;
   opts.batcher.max_batch = 8;
-  opts.batcher.max_wait = 10s;  // park the accepted request until stop()
+  opts.batcher.max_wait = 10s;  // park the accepted request until stop()...
+  opts.batcher.dispatchers = 2;  // ...behind a dispatcher held busy
   opts.batcher.queue_capacity = 1;
   Server server(model, opts);
+  std::future<void> stopping;
+  testing::LaneBlocker blocker(server.registry(), 0);  // released before `stopping` joins
   Client client = server.connect();
 
   const std::vector<double> xs = random_rows(3, model->input_dim(), 11);
@@ -135,9 +144,13 @@ TEST(ServeServer, QueueFullSurfacesOnTheWireAndDrainAnswersTheAccepted) {
   EXPECT_EQ(client.receive(id2).status, Status::kQueueFull);
   EXPECT_EQ(client.receive(id3).status, Status::kQueueFull);
 
-  // Orderly shutdown answers the parked request before closing.
-  server.stop();
+  // Orderly shutdown answers the parked request before closing. stop()
+  // joins the held dispatcher too, so it runs on its own thread; the reply
+  // arrives from the drain while the blocker still holds.
+  stopping = std::async(std::launch::async, [&] { server.stop(); });
   const Reply first = client.receive(id1);
+  blocker.release();
+  stopping.get();
   EXPECT_EQ(first.status, Status::kOk);
   runtime::Session direct(model);
   const auto want = direct.forward_bits(std::span(xs).subspan(0, dim));

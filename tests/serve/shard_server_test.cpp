@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "lane_blocker.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -227,7 +228,7 @@ TEST(ShardServer, StopDrainsEveryShardNoRequestUnanswered) {
   const auto model =
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts = sharded_options(4);
-  opts.batcher.max_wait = 5ms;  // park accepted requests so stop() must drain them
+  opts.batcher.max_wait = 5ms;  // stop() may find requests queued: it must drain them
   Server server(model, opts);
 
   const std::vector<double> xs = random_rows(1, model->input_dim(), 3);
@@ -290,17 +291,20 @@ TEST(ShardServer, InFlightCapRejectsPipelinedExcessWithOverloaded) {
   ServerOptions opts;
   opts.shards = 1;
   opts.batcher.max_batch = 64;
-  opts.batcher.max_wait = 500ms;  // park the first request in the batcher
   opts.max_inflight_per_connection = 1;
   Server server(model, opts);
+  // Hold the lane's one dispatcher, so the first request stays parked in
+  // the batcher until release.
+  testing::LaneBlocker blocker(server.registry(), 0);
 
   const std::vector<double> xs = random_rows(1, model->input_dim(), 9);
   Client client = server.connect();
   const std::uint64_t id1 = client.send(std::span<const double>(xs));
   const std::uint64_t id2 = client.send(std::span<const double>(xs));
-  // The second request arrives while the first is parked in the (500 ms)
-  // batcher window, over the in-flight budget of 1.
+  // The second request arrives while the first is parked behind the held
+  // dispatcher, over the in-flight budget of 1.
   EXPECT_EQ(client.receive(id2).status, Status::kOverloaded);
+  blocker.release();
   EXPECT_EQ(client.receive(id1).status, Status::kOk);
   EXPECT_EQ(server.stats().overloaded, 1u);
 }

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "lane_blocker.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -297,23 +299,26 @@ TEST(ServeTcp, StopDrainsOverTcpAndRefusesNewConnects) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts = tcp_options();
   opts.batcher.max_batch = 64;
-  opts.batcher.max_wait = 10s;  // park the request until stop() drains it
+  opts.batcher.max_wait = 10s;   // park the request until stop() drains it...
+  opts.batcher.dispatchers = 2;  // ...behind the dispatcher the blocker holds
   Server server(model, opts);
+  std::future<void> stopping;
+  testing::LaneBlocker blocker(server.registry(), 0);  // released before `stopping` joins
   Client client = connect_tcp(server.tcp_port(), model);
   const std::vector<double> x = random_rows(1, model->input_dim(), 29);
   const std::uint64_t id = client.send(x);
   // Over TCP the send only queues bytes in the kernel; wait until the loop
   // has read and admitted the request, or stop()'s drain would (correctly)
-  // answer it kShutdown instead of serving it.
-  ServerStats st = server.stats();
-  for (int i = 0; i < 2000 && st.batcher.accepted == 0; ++i) {
-    std::this_thread::sleep_for(1ms);
-    st = server.stats();
-  }
-  ASSERT_EQ(st.batcher.accepted, 1u);
+  // answer it kShutdown instead of serving it. The blocker's row is the
+  // first accepted one.
+  ASSERT_TRUE(testing::await([&] { return server.stats().batcher.accepted == 2; }));
 
-  server.stop();
+  // stop() joins the held dispatcher too, so it runs on its own thread; the
+  // drain answers the parked request while the blocker still holds.
+  stopping = std::async(std::launch::async, [&] { server.stop(); });
   const Reply reply = client.receive(id);
+  blocker.release();
+  stopping.get();
   EXPECT_EQ(reply.status, Status::kOk);
   runtime::Session direct(model);
   const auto want = direct.forward_bits(std::span<const double>(x));
